@@ -10,6 +10,10 @@ serve-path cost:
   channel; arbitration + eviction dominate;
 * **remap-heavy** — Dynamic Priority with T = k, stressing the heap
   rebuild path.
+
+``test_engine_matrix`` writes the absolute engine matrix (seconds and
+ticks/s per engine and regime, with the engine ``auto`` picks) into
+``BENCH_engine.json`` — the evidence for the dispatch rule.
 """
 
 import pytest
@@ -106,10 +110,13 @@ def test_fastengine_channel_bound(benchmark, miss_workload):
 
 
 def _ff_speedup_payload(workload, cfg, *, workload_desc, config_desc, rounds=5):
-    """Time default dispatch with FF off/on; return the bench payload.
+    """Time the fast engine with FF off/on; return the bench payload.
 
-    Checks the two runs are bit-identical before reporting — a speedup
-    from diverging results would be meaningless.
+    The engine is pinned: ``auto`` sends the contended miss-bound job to
+    the reference engine, and the gated speedup tracks the fast
+    engine's provers across versions. Checks the two runs are
+    bit-identical before reporting — a speedup from diverging results
+    would be meaningless.
     """
     import time
 
@@ -122,7 +129,7 @@ def _ff_speedup_payload(workload, cfg, *, workload_desc, config_desc, rounds=5):
             best, result = float("inf"), None
             for _ in range(rounds):
                 start = time.perf_counter()
-                result = simulate(workload.traces, cfg)
+                result = simulate(workload.traces, cfg, engine="fast")
                 best = min(best, time.perf_counter() - start)
             return result, best
         finally:
@@ -145,6 +152,7 @@ def _ff_speedup_payload(workload, cfg, *, workload_desc, config_desc, rounds=5):
     return {
         "workload": workload_desc,
         "config": config_desc,
+        "engine": "fast",
         "ticks": on.ticks,
         "ff_intervals": on.ff_intervals,
         "ff_elided_ticks": on.ff_elided_ticks,
@@ -176,6 +184,7 @@ def _merge_engine_bench(key, payload):
             "miss_bound" in existing
             or "hit_heavy" in existing
             or "ff_policy_coverage" in existing
+            or "matrix" in existing
         ):
             doc = existing
     doc[key] = payload
@@ -278,3 +287,118 @@ def test_ff_policy_zoo_coverage():
             "plan_declines": per_window(declines, arb),
         }
     _merge_engine_bench("ff_policy_coverage", payload)
+
+
+#: the engine matrix's regimes: (workload kind, params, config). Two fit
+#: in HBM (every page has a slot), two are contended (the working set is
+#: 4x HBM), the regime the paper's arbitration experiments live in.
+MATRIX_REGIMES = {
+    "narrow_fit": (
+        "zipf",
+        dict(threads=8, seed=0, length=20000, pages=16),
+        dict(hbm_slots=128, channels=4, arbitration="fifo"),
+    ),
+    "wide_fit": (
+        "zipf",
+        dict(threads=64, seed=0, length=3000, pages=16),
+        dict(hbm_slots=1024, channels=4, arbitration="fifo"),
+    ),
+    "contended_miss_bound": (
+        "adversarial_cycle",
+        dict(threads=32, pages=64, repeats=24),
+        dict(hbm_slots=512, channels=4, arbitration="fifo"),
+    ),
+    "contended_remap_heavy": (
+        "zipf",
+        dict(threads=64, seed=0, length=1200, pages=32),
+        dict(
+            hbm_slots=512,
+            channels=2,
+            arbitration="dynamic_priority",
+            remap_period=64,
+        ),
+    ),
+}
+
+#: lanes of the batch column
+MATRIX_LANES = 16
+
+
+def _best_of(fn, rounds):
+    import time
+
+    best, out = float("inf"), None
+    for _ in range(rounds):
+        start = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - start)
+    return out, best
+
+
+def _cell(seconds, ticks):
+    return {"s": round(seconds, 6), "ticks_per_s": round(ticks / seconds, 1)}
+
+
+def test_engine_matrix():
+    """Absolute seconds and ticks/s for reference, fast and a 16-lane
+    batch in four regimes, fast-forward on.
+
+    The batch column runs 16 lanes of the row's job (16 seeds, all
+    eligible) in one lockstep state; its ``s`` is the batch wall per
+    lane, its ``ticks_per_s`` counts every lane's ticks. ``auto`` names
+    the engine :func:`repro.core.simulate` picks for the row. Every
+    engine's result is checked against the reference engine's first.
+    Absolute numbers are informational: they are not gated.
+    """
+    from repro.core import BatchSimulator, resolve_engine
+    from repro.core.drain import set_fast_forward
+    from repro.core.fastengine import FastSimulator
+
+    previous = set_fast_forward(True)
+    try:
+        matrix = {}
+        for name, (kind, params, cfg_kw) in MATRIX_REGIMES.items():
+            workload = make_workload(kind, **params)
+            cfg = SimulationConfig(**cfg_kw)
+            ref, ref_s = _best_of(lambda: Simulator(workload.traces, cfg).run(), 3)
+            fast, fast_s = _best_of(
+                lambda: FastSimulator(
+                    workload.traces, cfg, attestation=workload.attestation
+                ).run(),
+                3,
+            )
+            lanes = [
+                (workload.traces, cfg.replace(seed=cfg.seed + i))
+                for i in range(MATRIX_LANES)
+            ]
+            batch, batch_s = _best_of(
+                lambda: BatchSimulator(
+                    lanes, attestations=[workload.attestation] * MATRIX_LANES
+                ).run(),
+                2,
+            )
+            for result in (fast, batch[0]):
+                assert result.makespan == ref.makespan, name
+                assert result.response_histogram == ref.response_histogram, name
+            fits = cfg.hbm_slots > workload.attestation.max_page
+            auto = resolve_engine(workload, cfg)
+            assert auto == ("fast" if fits else "reference"), name
+            batch_ticks = sum(r.ticks for r in batch)
+            matrix[name] = {
+                "workload": f"{kind} "
+                + " ".join(f"{k}={v}" for k, v in params.items()),
+                "config": " ".join(f"{k}={v}" for k, v in cfg_kw.items()),
+                "fits_hbm": fits,
+                "auto": auto,
+                "ticks": ref.ticks,
+                "ff_elided_fraction": round(ref.ff_elided_fraction, 4),
+                "reference": _cell(ref_s, ref.ticks),
+                "fast": _cell(fast_s, ref.ticks),
+                f"batch{MATRIX_LANES}": {
+                    "s": round(batch_s / MATRIX_LANES, 6),
+                    "ticks_per_s": round(batch_ticks / batch_s, 1),
+                },
+            }
+    finally:
+        set_fast_forward(previous)
+    _merge_engine_bench("matrix", matrix)

@@ -390,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=ENGINE_CHOICES, default="auto",
-        help="simulator engine: 'auto' dispatches eligible configs to "
-        "the vectorized fast engine, 'reference'/'fast' force one "
+        help="simulator engine: 'auto' dispatches eligible configs whose "
+        "working set fits in HBM to the vectorized fast engine and the "
+        "rest to the reference engine, 'reference'/'fast' force one "
         "(default: auto)",
     )
     parser.add_argument(

@@ -786,9 +786,16 @@ def _engine_config(job: SweepJob) -> tuple[SimulationConfig, Any]:
 
 
 def _run_job(
-    job: SweepJob, attempt: int = 1, timeout: float | None = None
+    job: SweepJob,
+    attempt: int = 1,
+    timeout: float | None = None,
+    built: tuple[Any, float] | None = None,
 ) -> tuple[SweepRecord, dict[str, Any]] | SweepError:
     """Execute one job attempt; never raises for job-level failures.
+
+    ``built`` is an already built ``(workload, build seconds)`` for the
+    job — a lane handed back by an in-process batch unit — so the
+    attempt skips building it again.
 
     Returns ``(record, manifest)`` on success and a :class:`SweepError`
     on exception or deadline overrun, so the parent's retry logic is
@@ -809,13 +816,16 @@ def _run_job(
         try:
             with _job_deadline(timeout):
                 maybe_inject(job.tag, attempt)
-                cache = (
-                    WorkloadCache(_WORKER_CACHE_DIR) if _WORKER_CACHE_DIR else None
-                )
-                build_start = time.perf_counter()
-                workload = job.workload.build(cache)
-                build_s = time.perf_counter() - build_start
-                record_phase("workload_build", build_s)
+                if built is None:
+                    cache = (
+                        WorkloadCache(_WORKER_CACHE_DIR) if _WORKER_CACHE_DIR else None
+                    )
+                    build_start = time.perf_counter()
+                    workload = job.workload.build(cache)
+                    build_s = time.perf_counter() - build_start
+                    record_phase("workload_build", build_s)
+                else:
+                    workload, build_s = built
                 # Dispatch through the engine selector: eligible (LRU,
                 # protected, disjoint) configs take the vectorized fast
                 # path, everything else falls back to the reference
@@ -880,16 +890,33 @@ def _attach_piggyback(
 
 
 class _BatchAbort:
-    """Sentinel outcome: the shared batch deadline fired before this
-    lane got a verdict.
+    """Sentinel outcome: this lane left its batch unit without a verdict.
 
-    A batch runs under ONE ``job_timeout`` deadline (lockstep wall time
-    is common to every lane), so an overrun is not attributable to any
-    single lane. Charging it to each lane's retry budget would let one
-    slow batchmate permanently fail innocent jobs, so the parent reruns
-    every aborted lane *solo at the same attempt number*; only the solo
-    verdict — where the deadline measures that job alone — counts.
+    The parent reruns such a lane *solo at the same attempt number*, so
+    leaving a batch costs no retry budget. Two causes:
+
+    * the shared deadline fired. A batch runs under ONE ``job_timeout``
+      deadline (lockstep wall time is common to every lane), so an
+      overrun is not attributable to any single lane. Charging it to
+      each lane's retry budget would let one slow batchmate permanently
+      fail innocent jobs; only the solo verdict — where the deadline
+      measures that job alone — counts.
+    * the engine dispatch rule does not send the lane to the fast path
+      (a contended job runs on the reference engine). Whether a job
+      fits in HBM is known only once the worker has built its
+      workload, after the parent formed the unit; handing the lane
+      back lets the parent run it as its own job, in parallel with the
+      rest of the campaign and under its own deadline. The lane's
+      ``built`` workload rides along for an in-process rerun; pickling
+      drops it, so a pool worker sends no trace arrays back and the
+      resubmitted job builds its workload in its own worker.
     """
+
+    def __init__(self, built: tuple[Any, float] | None = None) -> None:
+        self.built = built
+
+    def __reduce__(self) -> tuple[Any, tuple[()]]:
+        return (_BatchAbort, ())
 
 
 _BATCH_ABORT = _BatchAbort()
@@ -911,14 +938,18 @@ def _run_batch(
     ``simulate_batch(..., return_exceptions=True)`` without discarding
     batchmates' results. The whole batch runs under one deadline — an
     overrun yields :data:`_BATCH_ABORT` for each still-unfinished lane,
-    which the parent reruns solo without consuming retry budget.
+    which the parent reruns solo without consuming retry budget. Lanes
+    the engine dispatch rule does not send to the fast path (see
+    :func:`repro.core.resolve_engine`) are handed back the same way
+    before anything runs, so a unit's lockstep state only ever holds
+    jobs that fit in HBM under ``engine="auto"``.
     """
     outcomes: list[Any] = [None] * len(jobs)
     lane_jobs: list[int] = []
     lane_items: list[tuple[Any, SimulationConfig]] = []
     lane_probes: list[Any] = []
     lane_builds: list[float] = []
-    lane_results: list[Any] = []
+    lane_results: Any = []
     registry, previous, heartbeat = _begin_collection(
         f"batch[{len(jobs)}]:{jobs[0].tag}", max(attempts)
     )
@@ -930,12 +961,18 @@ def _run_batch(
                 )
                 for k, (job, attempt) in enumerate(zip(jobs, attempts)):
                     try:
-                        maybe_inject(job.tag, attempt)
                         build_start = time.perf_counter()
                         workload = job.workload.build(cache)
                         build_s = time.perf_counter() - build_start
                         record_phase("workload_build", build_s)
                         config, probe = _engine_config(job)
+                        if resolve_engine(workload, config, _WORKER_ENGINE) != "fast":
+                            # off the fast path (contended, under auto):
+                            # the parent reruns this attempt solo, injected
+                            # faults included
+                            outcomes[k] = _BatchAbort((workload, build_s))
+                            continue
+                        maybe_inject(job.tag, attempt)
                     except JobTimeout:
                         raise
                     except Exception as exc:
@@ -951,9 +988,10 @@ def _run_batch(
                         lane_items.append((workload, config))
                         lane_probes.append(probe)
                         lane_builds.append(build_s)
-                lane_results = simulate_batch(
-                    lane_items, engine=_WORKER_ENGINE, return_exceptions=True
-                )
+                if lane_items:
+                    lane_results = simulate_batch(
+                        lane_items, engine=_WORKER_ENGINE, return_exceptions=True
+                    )
         except JobTimeout:
             for k in range(len(jobs)):
                 if outcomes[k] is None:
@@ -977,14 +1015,11 @@ def _run_batch(
                     attempts=attempt,
                 )
                 continue
-            workload, config = lane_items[lane]
             payload = SweepPayload.from_result(job.payload, result, lane_probes[lane])
-            engine_name = resolve_engine(workload, config, _WORKER_ENGINE)
-            if engine_name == "fast" and batch_supported(config, workload.attestation):
-                engine_name = "batch"
-            # ``batched`` marks lanes that actually ran in lockstep;
-            # ineligible lanes fell back to solo simulate() inside the
-            # batch unit and report False like any single job.
+            engine_name = lane_results.engines[lane]
+            # ``batched`` marks lanes that actually ran in lockstep; a
+            # lane simulate_batch ran solo (a lone trailing lane, say)
+            # reports False like any single job.
             record = SweepRecord.from_result(
                 job, result, payload, batched=engine_name == "batch"
             )
@@ -998,8 +1033,8 @@ def _run_batch(
                 },
                 "execution": {
                     "attempt": attempt,
-                    "batch_lanes": len(jobs),
-                    "batch_lane": k,
+                    "batch_lanes": len(lane_jobs),
+                    "batch_lane": lane,
                 },
             }
             outcomes[k] = (record, manifest)
@@ -1278,7 +1313,12 @@ class SweepRunner:
     batch units of up to :func:`repro.core.batch_limit` lanes before
     submission; grouping respects the longest-job-first cost order,
     records and cache writes are identical to solo execution, and any
-    lane that fails inside a batch is retried as a single job.
+    lane that fails inside a batch is retried as a single job. Whether
+    a job fits in HBM is known only once its workload is built, so the
+    worker applies the engine dispatch rule
+    (:func:`repro.core.resolve_engine`) to every lane and hands the
+    contended ones back; the parent runs each as its own job on the
+    reference engine, like a lane whose batch overran its deadline.
     """
 
     def __init__(
@@ -1779,7 +1819,10 @@ class SweepRunner:
         up to the batch lane cap. Ineligible jobs stay single, and the
         retry path never re-batches: a failed lane always comes back as
         a solo job, where every fault-tolerance semantic is the proven
-        single-job path.
+        single-job path. Eligibility here is config-level only; the
+        worker, once it has built the workloads, hands back every lane
+        the engine dispatch rule keeps off the fast path (see
+        :func:`_run_batch`).
         """
         limit = batch_limit()
         if limit < 2 or self.engine == "reference":
@@ -1853,9 +1896,10 @@ class SweepRunner:
                 )
             for idx, outcome in zip(unit, outcomes):
                 if isinstance(outcome, _BatchAbort):
-                    # Shared-deadline overrun: rerun solo at the same
-                    # attempt so the batch abort costs no retry budget.
-                    outcome = _run_job(jobs[idx], 1, self.job_timeout)
+                    # Shared-deadline overrun or a contended lane handed
+                    # back: rerun solo at the same attempt, so leaving
+                    # the batch costs no retry budget.
+                    outcome = _run_job(jobs[idx], 1, self.job_timeout, outcome.built)
                 if isinstance(outcome, SweepError):
                     _retry_solo(idx, outcome)
                 else:
@@ -1898,7 +1942,9 @@ class SweepRunner:
         """
         with phase("batch_form"):
             units = self._batch_plan(jobs, order)
-        workers = min(self.processes, len(units))
+        # sized by jobs, not units: a unit's contended lanes come back
+        # from its worker and run as single jobs across the pool
+        workers = min(self.processes, len(order))
         max_attempts = self.retries + 1
         pool = self._make_pool(workers)
         futures: dict[Any, list[tuple[int, int]]] = {}
@@ -1933,8 +1979,9 @@ class SweepRunner:
         def _handle(idx: int, attempt: int, outcome: Any) -> None:
             nonlocal done_count
             if isinstance(outcome, _BatchAbort):
-                # Shared-deadline overrun: resubmit solo at the same
-                # attempt so the batch abort costs no retry budget.
+                # Shared-deadline overrun or a contended lane handed
+                # back: resubmit solo at the same attempt, so leaving
+                # the batch costs no retry budget.
                 _submit(idx, attempt)
                 return
             if isinstance(outcome, SweepError):

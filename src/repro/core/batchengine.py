@@ -45,7 +45,11 @@ Eligibility is the fast path's scope plus passive probes: LRU +
 :class:`~repro.obs.TimelineProbe` observers (callback probes could see
 lanes' samples interleaved mid-run, so they force the solo path).
 Ineligible items fall back to :func:`simulate` mid-batch with no result
-change.
+change. Under ``engine="auto"`` the shared dispatch rule also keeps
+contended jobs (working set larger than HBM) out of the lockstep state:
+they run solo on the reference engine, which is faster there (the
+:class:`BatchResults` that :func:`simulate_batch` returns names the
+engine of every item).
 
 Knobs: ``set_batch_limit`` / the ``REPRO_BATCH`` env var cap how many
 lanes share one lockstep state (values < 2 disable batching); the CLI
@@ -68,16 +72,15 @@ from .config import SimulationConfig
 from .dram import DramGeometry
 from .engine import SimulationLimitError
 from .fastengine import (
-    ENGINE_CHOICES,
-    FastSimulator,
     _attempt_fast_forward,
     _attest_arrays,
     _attestation_ok,
+    _check_engine,
+    _choose,
     _config_supported,
     _normalize_traces,
     _record_ff_phase,
     _record_run_metrics,
-    default_engine,
     simulate,
 )
 from .metrics import MetricsCollector
@@ -356,9 +359,9 @@ class BatchSimulator:
         active_lanes = list(range(B))
         active_arr = np.arange(B, dtype=np.int64)
         active_dirty = False
-        # (ticks, makespan, wall_time) per retired lane; aggregation and
-        # finalize run once, after the loop
-        retire_info: list[tuple[int, int, float] | None] = [None] * B
+        # (ticks, makespan) per retired lane; aggregation and finalize
+        # run once, after the loop
+        retire_info: list[tuple[int, int] | None] = [None] * B
 
         def evict_one(b: int) -> bool:
             """Pop lane b's true LRU unprotected page; False if all protected."""
@@ -395,7 +398,7 @@ class BatchSimulator:
             active_dirty = True
             g0 = cs_l[b]
             ready_mask[g0 : g0 + p_l[b]] = False
-            retire_info[b] = (t_l[b], mksp_l[b], time.perf_counter() - start)
+            retire_info[b] = (t_l[b], mksp_l[b])
             if probes_by_lane[b]:
                 probe_lanes.remove(b)
 
@@ -690,10 +693,8 @@ class BatchSimulator:
             order = np.argsort(all_lane, kind="stable")
             lane_bnds = np.searchsorted(all_lane[order], arange_b1)
         for b in range(B):
-            info = retire_info[b]
-            if info is None:
+            if retire_info[b] is None:
                 continue  # aborted lane: results[b] already holds the error
-            ticks_b, makespan_b, wall_b = info
             m = metrics[b]
             m.fetches = fetch_l[b]
             m.evictions = evic_l[b]
@@ -718,7 +719,23 @@ class BatchSimulator:
                         m.response_logs[i] = sorted_w[
                             thr_bnds[i] : thr_bnds[i + 1]
                         ]
-            result = m.finalize(
+
+        # Lanes share one wall clock, so each is charged the batch wall
+        # in proportion to the ticks it actually stepped (elided ticks
+        # cost no lockstep work): per-lane times sum to the batch wall,
+        # never to lanes x wall.
+        wall = time.perf_counter() - start
+        steps = [max(t_l[b] - ff_elided[b], 0) for b in range(B)]
+        total_steps = sum(steps)
+        for b in range(B):
+            info = retire_info[b]
+            if info is None:
+                continue
+            ticks_b, makespan_b = info
+            wall_b = (
+                wall * steps[b] / total_steps if total_steps else wall / B
+            )
+            result = metrics[b].finalize(
                 makespan=makespan_b,
                 ticks=ticks_b,
                 remap_count=getattr(arbs[b], "remap_count", 0),
@@ -739,19 +756,62 @@ class BatchSimulator:
         return results
 
 
+def _plan_batch(
+    items: Sequence[tuple[Any, SimulationConfig]], engine: str
+) -> list[tuple[str | None, list[np.ndarray], Any]]:
+    """(engine label, arrays, attestation) per item: the dispatch rule of
+    :func:`simulate` per item, with eligible fast-path items whose probes
+    are passive turned into ``"batch"`` lanes (see :class:`BatchResults`)."""
+    limit = batch_limit()
+    plan: list[tuple[str | None, list[np.ndarray], Any]] = []
+    native: list[int] = []
+    for traces, config in items:
+        arrays, attestation = _normalize_traces(traces)
+        chosen, attestation = _choose(arrays, attestation, config, engine)
+        if chosen == "fast" and limit >= 2 and _probes_passive(config.probes):
+            native.append(len(plan))
+            chosen = "batch"
+        plan.append((chosen, arrays, attestation))
+    if native and len(native) % limit == 1:
+        # a lone trailing lane gains nothing from lockstep overhead
+        _, arrays, attestation = plan[native[-1]]
+        plan[native[-1]] = ("fast", arrays, attestation)
+    return plan
+
+
+class BatchResults(list):
+    """:func:`simulate_batch`'s per-item results, in input order.
+
+    ``engines[i]`` names the engine item ``i`` ran on, taken from the
+    plan that was executed: ``"batch"`` for a lockstep lane, ``"fast"``
+    or ``"reference"`` for a solo run (the dispatch rule of
+    :func:`repro.core.simulate`, which sends contended jobs to the
+    reference engine), ``None`` where dispatch raises (``engine="fast"``
+    on an ineligible item). The sweep harness labels its records and
+    manifests from it.
+    """
+
+    def __init__(self, results: list[Any], engines: list[str | None]) -> None:
+        super().__init__(results)
+        self.engines = engines
+
+
 def simulate_batch(
     items: Sequence[tuple[Any, SimulationConfig]],
     engine: str | None = None,
     return_exceptions: bool = False,
-) -> list[Any]:
+) -> BatchResults:
     """Simulate many ``(traces, config)`` jobs, batching eligible ones.
 
     Every item produces exactly what ``simulate(traces, config,
     engine=engine)`` would — the same :class:`SimulationResult` bit for
-    bit, or the same exception. Items that are batch-eligible (see
-    :func:`batch_supported`) are stacked into lockstep groups of up to
-    :func:`batch_limit` lanes; the rest fall back to the single-job
-    dispatcher mid-batch. Results are returned in input order.
+    bit, or the same exception. Items the dispatch rule sends to the
+    fast path and whose probes are passive are stacked into lockstep
+    groups of up to :func:`batch_limit` lanes; the rest (contended jobs
+    under ``"auto"``, ineligible ones, a lone trailing lane) run solo
+    through :func:`simulate`. Results are returned in input order, as a
+    :class:`BatchResults` list whose ``engines`` names the engine of
+    each item.
 
     ``traces`` per item is a :class:`repro.traces.Workload` (preferred —
     its attestation makes eligibility O(1)) or a raw trace sequence.
@@ -761,50 +821,28 @@ def simulate_batch(
     on this for per-lane retries).
     """
     items = list(items)
-    if engine is None:
-        engine = default_engine()
-    if engine not in ENGINE_CHOICES:
-        raise ValueError(f"engine must be one of {ENGINE_CHOICES}, got {engine!r}")
+    engine = _check_engine(engine)
     limit = batch_limit()
     results: list[Any] = [None] * len(items)
+    plan = _plan_batch(items, engine)
     native: list[tuple[int, list[np.ndarray], Any, SimulationConfig]] = []
-    for idx, (traces, config) in enumerate(items):
-        arrays, attestation = _normalize_traces(traces)
-        if (
-            engine != "reference"
-            and limit >= 2
-            and len(arrays)
-            and _config_supported(config)
-            and _probes_passive(config.probes)
-        ):
-            if attestation is None:
-                attestation = _attest_arrays(arrays)
-            if _attestation_ok(attestation):
-                native.append((idx, arrays, attestation, config))
-                continue
+    for idx, ((traces, config), (label, arrays, attestation)) in enumerate(
+        zip(items, plan)
+    ):
+        if label == "batch":
+            native.append((idx, arrays, attestation, config))
+            continue
         try:
             results[idx] = simulate(traces, config, engine=engine)
         except Exception as exc:
             if not return_exceptions:
                 raise
             results[idx] = exc
-    step = limit if limit > 0 else 1
+    # ``native`` is empty unless ``limit >= 2``; the floor keeps a
+    # disabled limit (0) from reaching range() as a zero step
+    step = max(limit, 1)
     for chunk_start in range(0, len(native), step):
         chunk = native[chunk_start : chunk_start + step]
-        if len(chunk) == 1:
-            # a lone eligible lane gains nothing from lockstep overhead
-            idx, arrays, attestation, config = chunk[0]
-            try:
-                results[idx] = FastSimulator(
-                    arrays, config, attestation=attestation
-                ).run()
-            except Exception as exc:
-                if not return_exceptions:
-                    raise
-                results[idx] = exc
-            else:
-                _record_run_metrics("batch", results[idx])
-            continue
         sim = BatchSimulator(
             [(arrays, config) for _, arrays, _, config in chunk],
             attestations=[attestation for _, _, attestation, _ in chunk],
@@ -817,4 +855,4 @@ def simulate_batch(
                 # per-lane accounting mirrors simulate()'s, so campaign
                 # metrics are sampled identically across dispatch paths
                 _record_run_metrics("batch", outcome)
-    return results
+    return BatchResults(results, [label for label, _, _ in plan])

@@ -8,14 +8,16 @@ dense page-state arrays, a timestamp-LRU with a lazily-refreshed
 eviction heap, and bulk metrics aggregation replace the reference
 engine's per-core dict/list operations.
 
-Performance honesty: at the core counts this reproduction simulates
-(p <= 256) the two engines are at parity — numpy dispatch overhead eats
-the vector win, and miss-bound phases are scalar either way. The module
-earns its keep two other ways: as a *third*, structurally different
-implementation of the model semantics for differential testing
-(reference engine / naive test-suite reference / this), and as the
-scaling path for much wider simulated machines, where per-tick work
-grows linearly for the reference engine but stays near-constant here.
+Performance honesty: the fast path only pays off while the working
+set fits in HBM (hit-dominated ticks, where the vectorized
+classify/serve replaces per-core dict work). Under contention the
+per-tick work is arbitration and eviction, which are scalar either way,
+and the reference engine's plain dicts beat this engine's numpy
+dispatch (1.6-2.3x in the engine matrix of ``docs/PERFORMANCE.md``).
+:func:`simulate`'s ``"auto"`` mode therefore sends only eligible jobs
+that fit in HBM here. The module also serves as a *third*, structurally
+different implementation of the model semantics for differential
+testing (reference engine / naive test-suite reference / this).
 
 Scope restrictions (violations fall back to the reference engine via
 :func:`simulate`):
@@ -1203,24 +1205,49 @@ def _normalize_traces(traces):
     return arrays, None
 
 
-def _resolve(arrays, attestation, config: SimulationConfig, engine: str | None):
-    """Pick the engine for these inputs: ('fast'|'reference', attestation)."""
+def _choose(arrays, attestation, config: SimulationConfig, engine: str):
+    """The dispatch rule: ('fast'|'reference'|None, attestation).
+
+    ``engine`` is an already validated :data:`ENGINE_CHOICES` entry.
+    ``"auto"`` takes the fast path only for an eligible job that fits
+    in HBM — ``hbm_slots > max_page``, an O(1) test on the attestation,
+    since compact page ids give every touched page its own slot; a
+    contended job runs on the reference engine, which is faster there
+    (the engine matrix in ``docs/PERFORMANCE.md``). ``"fast"`` takes
+    the fast path wherever it is eligible and yields ``None``
+    elsewhere, where dispatch raises.
+    """
+    if engine != "reference" and _config_supported(config) and len(arrays):
+        if attestation is None:
+            attestation = _attest_arrays(arrays)
+        if _attestation_ok(attestation) and (
+            engine == "fast" or config.hbm_slots > attestation.max_page
+        ):
+            return "fast", attestation
+    if engine == "fast":
+        return None, attestation
+    return "reference", attestation
+
+
+def _check_engine(engine: str | None) -> str:
+    """``engine`` validated, with ``None`` meaning the process default."""
     if engine is None:
         engine = _default_engine
     if engine not in ENGINE_CHOICES:
         raise ValueError(f"engine must be one of {ENGINE_CHOICES}, got {engine!r}")
-    if engine != "reference" and _config_supported(config) and len(arrays):
-        if attestation is None:
-            attestation = _attest_arrays(arrays)
-        if _attestation_ok(attestation):
-            return "fast", attestation
-    if engine == "fast":
+    return engine
+
+
+def _resolve(arrays, attestation, config: SimulationConfig, engine: str | None):
+    """Pick the engine for these inputs: ('fast'|'reference', attestation)."""
+    chosen, attestation = _choose(arrays, attestation, config, _check_engine(engine))
+    if chosen is None:
         raise ValueError(
             "engine='fast' requested but the configuration is outside the "
             "fast path (needs LRU, protect_pending, disjoint compact "
             "traces, no timeline)"
         )
-    return "reference", attestation
+    return chosen, attestation
 
 
 def resolve_engine(
@@ -1278,7 +1305,7 @@ def simulate(
     engine: str | None = None,
     manifest_path=None,
 ) -> SimulationResult:
-    """Run with the fast path when supported, else the reference engine.
+    """Run one job on the engine the dispatch rule picks.
 
     Parameters
     ----------
@@ -1290,9 +1317,14 @@ def simulate(
     config:
         Model and policy parameters.
     engine:
-        ``"auto"`` dispatches by eligibility, ``"reference"`` forces the
-        scalar engine, ``"fast"`` forces the vectorized engine (raising
-        ``ValueError`` when the configuration is outside its scope).
+        ``"auto"`` runs the vectorized engine only when the job is
+        eligible (LRU, ``protect_pending``, no timeline, disjoint
+        compact traces) *and* its working set fits in HBM
+        (``hbm_slots > max_page``); every contended or ineligible job
+        runs on the reference engine, which is the faster one there.
+        ``"reference"`` forces the scalar engine, ``"fast"`` forces the
+        vectorized engine (raising ``ValueError`` when the configuration
+        is outside its scope). Results are bit-identical either way.
         ``None`` uses the process default (:func:`set_default_engine`).
     manifest_path:
         When given, write a :class:`repro.obs.RunManifest` JSON there

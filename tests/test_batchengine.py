@@ -100,15 +100,22 @@ def _restore_batch_limit():
 
 
 class TestDifferentialBattery:
-    """Batch-vs-single bit identity over policies × families."""
+    """Batch-vs-reference bit identity over policies × families.
+
+    Both slot counts are contended (every family's working set exceeds
+    24 pages), where ``engine="auto"`` dispatches to the reference
+    engine; the battery pins ``engine="fast"`` so the lanes really run
+    in lockstep, and checks that they did.
+    """
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_policy_bit_identity(self, policy):
+    def test_policy_bit_identity(self, policy, engine_runs):
         assert policy in ARBITRATION_POLICIES
         items, singles, batch_probes, single_probes = [], [], [], []
         for kind, params in FAMILIES:
             for slots in (6, 24):
                 workload = make_workload(kind, **params)
+                assert slots <= workload.attestation.max_page  # contended
                 bp = TimelineProbe()
                 sp = TimelineProbe()
                 items.append((workload, config_for(policy, slots, (bp,))))
@@ -116,11 +123,13 @@ class TestDifferentialBattery:
                 batch_probes.append(bp)
                 single_probes.append(sp)
         set_batch_limit(len(items))
-        batched = simulate_batch(items)
+        batched = simulate_batch(items, engine="fast")
+        assert batched.engines == ["batch"] * len(items)
+        assert engine_runs() == {"batch": len(items)}
         for (traces, config), result, bp, sp, (straces, sconfig) in zip(
             items, batched, batch_probes, single_probes, singles
         ):
-            expected = simulate(straces, sconfig)
+            expected = simulate(straces, sconfig, engine="reference")
             assert results_equal(result, expected), config
             assert [s.to_dict() for s in bp.samples] == [
                 s.to_dict() for s in sp.samples
@@ -159,11 +168,20 @@ class TestEligibilityAndFallback:
             (w2, SimulationConfig(hbm_slots=8, seed=2, replacement="clock")),
             (w1, SimulationConfig(hbm_slots=10, seed=3, protect_pending=False)),
             (w2, SimulationConfig(hbm_slots=8, channels=2, seed=4)),
+            # working sets that fit in HBM: the only lanes auto batches
+            (w1, SimulationConfig(hbm_slots=192, channels=2, seed=5)),
+            (w2, SimulationConfig(hbm_slots=96, seed=6)),
         ]
         set_batch_limit(4)
         batched = simulate_batch(items)
+        assert batched.engines == ["reference"] * 4 + ["batch"] * 2
         for (traces, config), result in zip(items, batched):
             assert results_equal(result, simulate(traces, config))
+        forced = simulate_batch(items, engine="fast", return_exceptions=True)
+        assert forced.engines == ["batch", None, None, "batch", "batch", "batch"]
+        assert [isinstance(r, ValueError) for r in forced] == [
+            False, True, True, False, False, False
+        ]
 
     def test_empty_trace_lanes(self):
         arr = np.array([0, 1, 2, 0, 1], dtype=np.int64)
@@ -173,7 +191,8 @@ class TestEligibilityAndFallback:
             ([arr + 6, empty], SimulationConfig(hbm_slots=4)),
         ]
         set_batch_limit(2)
-        batched = simulate_batch(items)
+        batched = simulate_batch(items, engine="fast")
+        assert batched.engines == ["batch", "batch"]
         for (traces, config), result in zip(items, batched):
             assert results_equal(result, simulate(traces, config))
 
@@ -195,7 +214,7 @@ class TestLimitErrors:
             simulate(w, tight)
         set_batch_limit(2)
         with pytest.raises(SimulationLimitError) as batch_err:
-            simulate_batch([(w, tight), (w, ok)])
+            simulate_batch([(w, tight), (w, ok)], engine="fast")
         assert str(batch_err.value) == str(single_err.value)
 
     def test_return_exceptions_preserves_batchmates(self):
@@ -204,7 +223,9 @@ class TestLimitErrors:
         tight = SimulationConfig(hbm_slots=6, seed=9, max_ticks=10)
         set_batch_limit(3)
         got = simulate_batch(
-            [(w, ok), (w, tight), (w, ok)], return_exceptions=True
+            [(w, ok), (w, tight), (w, ok)],
+            engine="fast",
+            return_exceptions=True,
         )
         assert isinstance(got[1], SimulationLimitError)
         expected = simulate(w, ok)
@@ -269,11 +290,16 @@ class TestSweepIntegration:
 
     @staticmethod
     def _jobs():
+        # four jobs fit in HBM (8 x 24 pages <= 192 slots) and batch;
+        # two are contended and run solo on the reference engine
         jobs = []
         for i in range(6):
             spec = WorkloadSpec.make("zipf", 8, seed=10 + i, length=200, pages=24)
             config = SimulationConfig(
-                hbm_slots=12, channels=2, seed=3 + i, record_responses=True
+                hbm_slots=12 if i in (1, 4) else 192,
+                channels=2,
+                seed=3 + i,
+                record_responses=True,
             )
             jobs.append(SweepJob(spec, config, tag=f"j{i}"))
         spec = WorkloadSpec.make("random", 6, seed=99, length=150, pages=16)
@@ -305,6 +331,10 @@ class TestSweepIntegration:
         batched = run_sweep(jobs, processes=processes, result_cache=False)
         for a, b in zip(baseline, batched):
             assert self._row(a) == self._row(b)
+        assert not any(r.batched for r in baseline)
+        lockstep = {r.job.tag for r in batched if r.batched}
+        assert len(lockstep) >= 2
+        assert lockstep <= {"j0", "j2", "j3", "j5"}
 
     def test_pre_existing_caches_stay_warm(self, tmp_path):
         jobs = self._jobs()

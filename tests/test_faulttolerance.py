@@ -55,8 +55,13 @@ def _clean_fault_plan():
     set_fault_plan(previous)
 
 
-def demo_jobs(victim_tag="victim"):
-    """Four jobs; exactly one carries the fault-matched tag."""
+def demo_jobs(victim_tag="victim", hbm_slots=32):
+    """Four jobs; exactly one carries the fault-matched tag.
+
+    At the default 32 slots the 4-thread jobs (64 pages) are contended
+    and only the 2-thread ones fit in HBM; at 64 slots all four fit, so
+    ``engine="auto"`` runs every one on the fast path.
+    """
     jobs = []
     for threads in (2, 4):
         spec = WorkloadSpec.make(
@@ -65,7 +70,9 @@ def demo_jobs(victim_tag="victim"):
         for arb in ("fifo", "priority"):
             tag = victim_tag if (threads, arb) == (4, "priority") else f"ok-{threads}-{arb}"
             jobs.append(
-                SweepJob(spec, SimulationConfig(hbm_slots=32, arbitration=arb), tag=tag)
+                SweepJob(
+                    spec, SimulationConfig(hbm_slots=hbm_slots, arbitration=arb), tag=tag
+                )
             )
     return jobs
 
@@ -450,13 +457,15 @@ class TestBatchFormationUnderFaults:
     """A lane dying mid-batch is retried solo; survivors are unaffected.
 
     ``demo_jobs`` uses one config family (lru/protect_pending, no
-    probes), so all four jobs are batch-eligible and — with the limit
-    forced to 4 — run as a single lockstep batch unit on the first
-    attempt.
+    probes); at 64 slots all four jobs also fit in HBM, so they are
+    batch lanes under ``engine="auto"`` and — with the limit forced to
+    4 — run as a single lockstep batch unit on the first attempt
+    (contended jobs would be handed back to run solo, and the faults
+    would never meet a batch).
     """
 
     def test_transient_lane_fault_retried_solo(self):
-        jobs = demo_jobs()
+        jobs = demo_jobs(hbm_slots=64)
         baseline = run_sweep(jobs, processes=1)
         set_fault_plan("raise:victim")  # first attempt only
         runner = SweepRunner(processes=1, **FAST_RETRY)
@@ -466,7 +475,7 @@ class TestBatchFormationUnderFaults:
         assert stats.retried == 1 and stats.failed == 0
 
     def test_permanent_lane_fault_leaves_survivors_intact(self):
-        jobs = demo_jobs()
+        jobs = demo_jobs(hbm_slots=64)
         baseline = run_sweep(jobs, processes=1)
         set_fault_plan("raise:victim:attempts=0")
         runner = SweepRunner(processes=1, retries=1, **FAST_RETRY)
@@ -478,7 +487,7 @@ class TestBatchFormationUnderFaults:
         assert victim.error.attempts == 2
 
     def test_killed_worker_recovers_whole_batch(self):
-        jobs = demo_jobs()
+        jobs = demo_jobs(hbm_slots=64)
         baseline = run_sweep(jobs, processes=1)
         set_fault_plan("kill:victim")
         runner = SweepRunner(processes=2, **FAST_RETRY)
@@ -489,7 +498,7 @@ class TestBatchFormationUnderFaults:
         assert stats.recovered >= 1
 
     def test_batch_manifest_records_lane_geometry(self, tmp_path):
-        jobs = demo_jobs()
+        jobs = demo_jobs(hbm_slots=64)
         SweepRunner(processes=1, cache_dir=tmp_path).run(jobs)
         execution = [
             json.loads(path.read_text())["manifest"]["execution"]
@@ -537,7 +546,7 @@ class TestWatchdogDeadline:
         assert outcome["result"] == "finished"
 
     def test_timeout_of_batched_lane_fails_only_that_attempt(self):
-        jobs = demo_jobs()
+        jobs = demo_jobs(hbm_slots=64)
         baseline = run_sweep(jobs, processes=1)
         set_fault_plan("sleep:victim:seconds=5")
         previous = set_batch_limit(4)

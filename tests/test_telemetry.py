@@ -535,6 +535,20 @@ class TestEventSchemaV2:
 
         return list(iter_campaign_events(path))
 
+    def test_documented_schema_is_the_written_one(self):
+        import re
+        from pathlib import Path
+
+        from repro.analysis.telemetry import EVENT_SCHEMA
+
+        doc = Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
+        text = doc.read_text(encoding="utf-8")
+        documented = re.search(
+            r"JSONL event stream \(schema\s+`([^`]+)`\)", text
+        )
+        assert documented is not None
+        assert documented.group(1) == EVENT_SCHEMA
+
     def test_start_and_end_carry_durability_fields(self, tmp_path):
         events_path = tmp_path / "events.jsonl"
         tele = CampaignTelemetry(events_out=events_path, stream=io.StringIO())
