@@ -660,9 +660,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print(f"workloads {workloads.directory}: cleared {removed}")
         else:
             stats = workloads.stats()
+            note = f", {stats['corrupt']} corrupt" if stats["corrupt"] else ""
             print(
                 f"workloads {workloads.directory}: "
-                f"{stats['entries']} entries, {stats['bytes']} bytes"
+                f"{stats['entries']} entries, {stats['bytes']} bytes{note}"
             )
     return status
 

@@ -9,7 +9,9 @@ processes. Jobs carry specs rather than trace arrays so that workers
 regenerate (or cache-load) workloads locally instead of pickling
 multi-megabyte traces through the pool; the disk cache is warmed in the
 parent first so each expensive instrumented workload is generated
-exactly once.
+exactly once. An in-process campaign goes further and builds or loads
+each distinct spec once, handing the same workload to every job that
+names it.
 
 Two further levers make repeated campaigns cheap:
 
@@ -46,12 +48,13 @@ import signal
 import threading
 import time
 import traceback as traceback_mod
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..core import SimulationConfig, SimulationResult
 from ..core.batchengine import batch_limit, batch_supported, simulate_batch
@@ -785,17 +788,63 @@ def _engine_config(job: SweepJob) -> tuple[SimulationConfig, Any]:
     return (job.config.replace(**changes) if changes else job.config), probe
 
 
+class _CampaignWorkloads:
+    """The workloads of one in-process campaign, each spec built once.
+
+    Every job and batch lane that names a spec gets the same
+    :class:`Workload`, built (or loaded from the on-disk cache) by the
+    first of them. Use counts come from the pending job list, and the
+    reference is dropped when the last job takes it, so a workload
+    lives no longer than its jobs. Retries build afresh.
+    """
+
+    def __init__(
+        self, specs: Iterable[WorkloadSpec], cache: WorkloadCache | None
+    ) -> None:
+        self._uses = Counter(specs)
+        self._built: dict[WorkloadSpec, Workload] = {}
+        self._cache = cache
+
+    def take(self, spec: WorkloadSpec) -> Workload:
+        uses = self._uses[spec] = self._uses[spec] - 1
+        workload = self._built.pop(spec, None)
+        if workload is None:
+            workload = spec.build(self._cache)
+        if uses > 0:
+            self._built[spec] = workload
+        return workload
+
+
+def _build_workload(
+    spec: WorkloadSpec, workloads: _CampaignWorkloads | None
+) -> tuple[Workload, float]:
+    """``spec``'s workload and the seconds spent getting it (also
+    recorded as the ``workload_build`` phase): near zero when the
+    campaign's ``workloads`` already hold it."""
+    start = time.perf_counter()
+    if workloads is not None:
+        workload = workloads.take(spec)
+    else:
+        cache = WorkloadCache(_WORKER_CACHE_DIR) if _WORKER_CACHE_DIR else None
+        workload = spec.build(cache)
+    build_s = time.perf_counter() - start
+    record_phase("workload_build", build_s)
+    return workload, build_s
+
+
 def _run_job(
     job: SweepJob,
     attempt: int = 1,
     timeout: float | None = None,
     built: tuple[Any, float] | None = None,
+    workloads: _CampaignWorkloads | None = None,
 ) -> tuple[SweepRecord, dict[str, Any]] | SweepError:
     """Execute one job attempt; never raises for job-level failures.
 
     ``built`` is an already built ``(workload, build seconds)`` for the
     job — a lane handed back by an in-process batch unit — so the
-    attempt skips building it again.
+    attempt skips building it again. Otherwise the workload comes from
+    the in-process campaign's ``workloads`` when given.
 
     Returns ``(record, manifest)`` on success and a :class:`SweepError`
     on exception or deadline overrun, so the parent's retry logic is
@@ -816,16 +865,7 @@ def _run_job(
         try:
             with _job_deadline(timeout):
                 maybe_inject(job.tag, attempt)
-                if built is None:
-                    cache = (
-                        WorkloadCache(_WORKER_CACHE_DIR) if _WORKER_CACHE_DIR else None
-                    )
-                    build_start = time.perf_counter()
-                    workload = job.workload.build(cache)
-                    build_s = time.perf_counter() - build_start
-                    record_phase("workload_build", build_s)
-                else:
-                    workload, build_s = built
+                workload, build_s = built or _build_workload(job.workload, workloads)
                 # Dispatch through the engine selector: eligible (LRU,
                 # protected, disjoint) configs take the vectorized fast
                 # path, everything else falls back to the reference
@@ -926,6 +966,7 @@ def _run_batch(
     jobs: Sequence[SweepJob],
     attempts: Sequence[int],
     timeout: float | None = None,
+    workloads: _CampaignWorkloads | None = None,
 ) -> list[tuple[SweepRecord, dict[str, Any]] | SweepError | _BatchAbort]:
     """Execute one lockstep attempt over a formed batch of jobs.
 
@@ -956,15 +997,9 @@ def _run_batch(
     try:
         try:
             with _job_deadline(timeout):
-                cache = (
-                    WorkloadCache(_WORKER_CACHE_DIR) if _WORKER_CACHE_DIR else None
-                )
                 for k, (job, attempt) in enumerate(zip(jobs, attempts)):
                     try:
-                        build_start = time.perf_counter()
-                        workload = job.workload.build(cache)
-                        build_s = time.perf_counter() - build_start
-                        record_phase("workload_build", build_s)
+                        workload, build_s = _build_workload(job.workload, workloads)
                         config, probe = _engine_config(job)
                         if resolve_engine(workload, config, _WORKER_ENGINE) != "fast":
                             # off the fast path (contended, under auto):
@@ -1855,6 +1890,10 @@ class SweepRunner:
     ) -> None:
         """In-process execution with the same retry semantics as the pool."""
         _pool_init(self.cache_dir, self.engine)
+        workloads = _CampaignWorkloads(
+            (jobs[idx].workload for idx in pending),
+            WorkloadCache(self.cache_dir) if self.cache_dir else None,
+        )
         max_attempts = self.retries + 1
         done = 0
 
@@ -1889,10 +1928,15 @@ class SweepRunner:
             units = self._batch_plan(jobs, pending)
         for unit in units:
             if len(unit) == 1:
-                outcomes: list[Any] = [_run_job(jobs[unit[0]], 1, self.job_timeout)]
+                outcomes: list[Any] = [
+                    _run_job(jobs[unit[0]], 1, self.job_timeout, workloads=workloads)
+                ]
             else:
                 outcomes = _run_batch(
-                    [jobs[idx] for idx in unit], [1] * len(unit), self.job_timeout
+                    [jobs[idx] for idx in unit],
+                    [1] * len(unit),
+                    self.job_timeout,
+                    workloads,
                 )
             for idx, outcome in zip(unit, outcomes):
                 if isinstance(outcome, _BatchAbort):

@@ -64,6 +64,9 @@ class DirectMappedCache:
     Each page maps to exactly one frame (``hash(page) % slots`` with a
     2-universal hash so adversarial address patterns cannot force
     systematic conflicts, mirroring how hardware scrambles index bits).
+
+    :meth:`access` touches one page; :meth:`access_many` counts a whole
+    touch stream in one NumPy pass with the same outcome.
     """
 
     def __init__(self, slots: int, rng: np.random.Generator | None = None) -> None:
@@ -86,6 +89,46 @@ class DirectMappedCache:
         self._tags[slot] = page
         self.misses += 1
         return False
+
+    def access_many(self, pages: Sequence[int] | np.ndarray) -> int:
+        """Touch every page in order, as :meth:`access` would; return the hits.
+
+        Each distinct page is hashed once (in Python ints: the 61-bit
+        product overflows int64). Touches are stable-sorted by slot, so
+        each slot's touches stay in stream order, and a touch hits when
+        the slot's previous touch — or, for its first, the tag the slot
+        held before the call — was the same page.
+        """
+        pages = np.asarray(pages, dtype=np.int64)
+        n = len(pages)
+        if n == 0:
+            return 0
+        distinct, inverse = np.unique(pages, return_inverse=True)
+        slot_of = np.array([self._hash(p) for p in distinct.tolist()], dtype=np.int64)
+        # the smallest unsigned type that holds a slot sorts by radix
+        slots = slot_of[inverse].astype(np.min_scalar_type(self.slots - 1))
+        order = np.argsort(slots, kind="stable")
+        by_slot = slots[order]
+        seq = pages[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = by_slot[1:] != by_slot[:-1]
+        empty = int(distinct[0]) - 1  # no touched page carries this tag
+        tags = np.array(
+            [empty if tag is None else tag for tag in self._tags], dtype=np.int64
+        )
+        prev = np.empty(n, dtype=np.int64)
+        prev[1:] = seq[:-1]
+        prev[first] = tags[by_slot[first]]
+        hits = int(np.count_nonzero(prev == seq))
+        # every touched slot ends up holding its last touch's page
+        last = np.empty(n, dtype=bool)
+        last[:-1] = first[1:]
+        last[-1] = True
+        for slot, page in zip(by_slot[last].tolist(), seq[last].tolist()):
+            self._tags[slot] = page
+        self.hits += hits
+        self.misses += n - hits
+        return hits
 
     def reset_counters(self) -> None:
         self.hits = 0
@@ -158,7 +201,16 @@ class TransformedCacheSimulator:
 
     The direct-mapped cache is sized ``slack * k`` pages (the Theta(k)
     of the lemma; ``slack >= 2`` covers metadata + data).
+
+    Touches are recorded in order and counted against the cache in
+    batches (:meth:`DirectMappedCache.access_many`); reading
+    :attr:`cache` counts any still pending, so its counters always
+    match a per-touch replay.
     """
+
+    #: references replayed between two batched counts, bounding the
+    #: pending touch buffer (about a dozen touches per reference)
+    SETTLE_EVERY = 1 << 16
 
     def __init__(
         self,
@@ -178,17 +230,20 @@ class TransformedCacheSimulator:
         self.replacement = replacement
         self.nodes_per_page = nodes_per_page
         rng = np.random.default_rng(seed)
-        self.cache = DirectMappedCache(slack * capacity, rng=rng)
+        self._cache = DirectMappedCache(slack * capacity, rng=rng)
         self.hash = TwoUniversalHash(capacity, rng=rng)
+        #: bucket of each user page seen so far (``self.hash`` memo)
+        self._bucket_of: dict[int, int] = {}
 
         # hash table: bucket -> chain of nodes. Nodes double as the
-        # linked-list entries (key, slot, chain-next, list-prev/next).
+        # linked-list entries (key, slot, chain-next, list-prev/next);
+        # node ids are below capacity, and a free node has key None.
         self._buckets: list[int | None] = [None] * capacity
-        self._node_key: dict[int, int] = {}
-        self._node_slot: dict[int, int] = {}
-        self._node_cnext: dict[int, int | None] = {}
-        self._list_prev: dict[int, int | None] = {}
-        self._list_next: dict[int, int | None] = {}
+        self._node_key: list[int | None] = [None] * capacity
+        self._node_slot: list[int] = [0] * capacity
+        self._node_cnext: list[int | None] = [None] * capacity
+        self._list_prev: list[int | None] = [None] * capacity
+        self._list_next: list[int | None] = [None] * capacity
         self._list_front: int | None = None  # victim end
         self._list_back: int | None = None  # most-recent end
         self._free_slots = list(range(capacity - 1, -1, -1))
@@ -196,75 +251,92 @@ class TransformedCacheSimulator:
         self.max_chain = 0
 
         # address map: bucket-head pages first, then node pages, then
-        # the k program-data pages (see _touch_data).
-        self._node_page_base = -(-capacity // nodes_per_page)
-
-    # -- simulated-memory touches ------------------------------------------
-    def _touch_bucket(self, bucket: int) -> None:
-        self.cache.access(bucket // self.nodes_per_page)
-
-    def _touch_node(self, node: int) -> None:
-        self.cache.access(self._node_page_base + node // self.nodes_per_page)
-
-    def _touch_data(self, slot: int) -> None:
-        # Program-data pages live after a metadata region generously
+        # the k program-data pages, after a metadata region generously
         # sized for capacity nodes.
-        node_pages = -(-self.capacity // self.nodes_per_page) + 1
-        self.cache.access(self._node_page_base + node_pages + slot)
+        meta_pages = -(-capacity // nodes_per_page)
+        data_base = 2 * meta_pages + 1
+        self._bucket_page = [b // nodes_per_page for b in range(capacity)]
+        self._node_page = [meta_pages + n // nodes_per_page for n in range(capacity)]
+        self._data_page = [data_base + slot for slot in range(capacity)]
+        #: simulated-memory pages touched and not yet counted
+        self._touches: list[int] = []
+        self._touch = self._touches.append
+
+    @property
+    def cache(self) -> DirectMappedCache:
+        """The direct-mapped cache, with every touch so far counted."""
+        self._settle()
+        return self._cache
+
+    def _settle(self) -> None:
+        if self._touches:
+            self._cache.access_many(self._touches)
+            self._touches.clear()
+
+    def _bucket(self, page: int) -> int:
+        bucket = self._bucket_of.get(page)
+        if bucket is None:
+            bucket = self._bucket_of[page] = self.hash(page)
+        return bucket
 
     # -- hash table / list operations ---------------------------------------
-    def _find(self, page: int) -> int | None:
+    def _find(self, page: int, bucket: int) -> int | None:
         """Chain walk; returns node id or None. Touches every node read."""
-        bucket = self.hash(page)
-        self._touch_bucket(bucket)
+        touch, node_page, key = self._touch, self._node_page, self._node_key
+        touch(self._bucket_page[bucket])
         node = self._buckets[bucket]
         chain = 0
         while node is not None:
             chain += 1
-            self._touch_node(node)
-            if self._node_key[node] == page:
+            touch(node_page[node])
+            if key[node] == page:
                 break
             node = self._node_cnext[node]
-        self.max_chain = max(self.max_chain, chain)
+        if chain > self.max_chain:
+            self.max_chain = chain
         return node
 
     def _list_unlink(self, node: int) -> None:
+        touch, node_page = self._touch, self._node_page
         prev, nxt = self._list_prev[node], self._list_next[node]
-        self._touch_node(node)
+        touch(node_page[node])
         if prev is not None:
-            self._touch_node(prev)
+            touch(node_page[prev])
             self._list_next[prev] = nxt
         else:
             self._list_front = nxt
         if nxt is not None:
-            self._touch_node(nxt)
+            touch(node_page[nxt])
             self._list_prev[nxt] = prev
         else:
             self._list_back = prev
 
     def _list_push_back(self, node: int) -> None:
-        self._touch_node(node)
-        self._list_prev[node] = self._list_back
+        touch, node_page = self._touch, self._node_page
+        back = self._list_back
+        touch(node_page[node])
+        self._list_prev[node] = back
         self._list_next[node] = None
-        if self._list_back is not None:
-            self._touch_node(self._list_back)
-            self._list_next[self._list_back] = node
+        if back is not None:
+            touch(node_page[back])
+            self._list_next[back] = node
         else:
             self._list_front = node
         self._list_back = node
 
     def _chain_remove(self, page: int, node: int) -> None:
-        bucket = self.hash(page)
-        self._touch_bucket(bucket)
+        bucket = self._bucket(page)
+        self._touch(self._bucket_page[bucket])
         cur = self._buckets[bucket]
+        cnext = self._node_cnext
         if cur == node:
-            self._buckets[bucket] = self._node_cnext[node]
+            self._buckets[bucket] = cnext[node]
             return
         while cur is not None:
-            self._touch_node(cur)
-            nxt = self._node_cnext[cur]
+            self._touch(self._node_page[cur])
+            nxt = cnext[cur]
             if nxt == node:
-                self._node_cnext[cur] = self._node_cnext[node]
+                cnext[cur] = cnext[node]
                 return
             cur = nxt
         raise AssertionError("node missing from its chain")
@@ -273,25 +345,25 @@ class TransformedCacheSimulator:
         """Evict the victim-end node; return the freed slot."""
         node = self._list_front
         assert node is not None, "evict on empty cache"
-        self._touch_node(node)
+        self._touch(self._node_page[node])
         page, slot = self._node_key[node], self._node_slot[node]
         self._list_unlink(node)
         self._chain_remove(page, node)
         # copy data back from Cache DRAM address to user DRAM address
-        self._touch_data(slot)
-        del self._node_key[node], self._node_slot[node], self._node_cnext[node]
-        del self._list_prev[node], self._list_next[node]
+        self._touch(self._data_page[slot])
+        self._node_key[node] = None
         return slot
 
     # -- public API ----------------------------------------------------------
     def access(self, page: int) -> bool:
         """One user reference; returns True if it was a simulated hit."""
-        node = self._find(page)
+        bucket = self._bucket(page)
+        node = self._find(page, bucket)
         if node is not None:
             if self.replacement == "lru":
                 self._list_unlink(node)
                 self._list_push_back(node)
-            self._touch_data(self._node_slot[node])
+            self._touch(self._data_page[self._node_slot[node]])
             return True
         # miss: make room, assign a slot, insert into table and list
         if not self._free_slots:
@@ -302,20 +374,17 @@ class TransformedCacheSimulator:
         self._next_node_id += 1
         # reuse node ids modulo capacity so the metadata region stays Theta(k)
         node %= self.capacity
-        while node in self._node_key:
+        while self._node_key[node] is not None:
             node = (node + 1) % self.capacity
-        bucket = self.hash(page)
-        self._touch_bucket(bucket)
-        self._touch_node(node)
+        self._touch(self._bucket_page[bucket])
+        self._touch(self._node_page[node])
         self._node_key[node] = page
         self._node_slot[node] = slot
         self._node_cnext[node] = self._buckets[bucket]
         self._buckets[bucket] = node
-        self._list_prev[node] = None
-        self._list_next[node] = None
         self._list_push_back(node)
         # copy user DRAM -> Cache DRAM, then the access itself
-        self._touch_data(slot)
+        self._touch(self._data_page[slot])
         return False
 
     def replay(self, trace: Sequence[int] | np.ndarray) -> TransformReport:
@@ -324,24 +393,28 @@ class TransformedCacheSimulator:
             trace, self.capacity, self.replacement
         )
         self.cache.reset_counters()
-        sim_hits = sim_misses = 0
-        for page in np.asarray(trace, dtype=np.int64).tolist():
-            if self.access(page):
-                sim_hits += 1
-            else:
-                sim_misses += 1
+        sim_hits = 0
+        pages = np.asarray(trace, dtype=np.int64).tolist()
+        access = self.access
+        for start in range(0, len(pages), self.SETTLE_EVERY):
+            for page in pages[start : start + self.SETTLE_EVERY]:
+                if access(page):
+                    sim_hits += 1
+            self._settle()
+        sim_misses = len(pages) - sim_hits
         if (sim_hits, sim_misses) != (orig_hits, orig_misses):
             raise AssertionError(
                 "transformed program's logical hit/miss sequence diverged "
                 f"from the fully-associative original: {(sim_hits, sim_misses)} "
                 f"vs {(orig_hits, orig_misses)}"
             )
+        cache = self.cache
         return TransformReport(
             original_hits=orig_hits,
             original_misses=orig_misses,
-            transformed_accesses=self.cache.hits + self.cache.misses,
-            transformed_hits=self.cache.hits,
-            transformed_misses=self.cache.misses,
+            transformed_accesses=cache.hits + cache.misses,
+            transformed_hits=cache.hits,
+            transformed_misses=cache.misses,
             max_chain_length=self.max_chain,
         )
 

@@ -266,8 +266,8 @@ def _bulk_steady_segment(
     R: int,
     prot: int,
     grant_avail: "dict[int, int]",
-) -> "tuple[int, int, int, int, int] | None":
-    """Vectorize a settled stretch of a FIFO drain; None to tick on.
+) -> "tuple[int, int, int, int, int] | bool":
+    """Vectorize a settled stretch of a FIFO drain; falsy to tick on.
 
     Once a FIFO drain is in its pipeline steady state, the grant stream
     is closed-form: let ``P`` be the pending order (queue after this
@@ -288,20 +288,25 @@ def _bulk_steady_segment(
     the per-tick planner, which re-derives state from the queue and
     arrival batches this function leaves behind. Returns the new loop
     state ``(tau, qlen, prot, R, evicted)``.
+
+    Returns None when fewer than two rounds fit before a core's window
+    runs out or before ``end``: both limits only tighten while the same
+    cores stay in the pipeline, so the caller need not try again until
+    one leaves it. Returns False when the segment does not fit for a
+    reason that may pass on a later tick.
     """
     arr = arrivals.get(tau)
     a1_list = arrivals.get(tau + 1)
-    snap = plan.snapshot()
-    p0_len = len(snap) + (len(arr) if arr else 0)
-    if arr:
-        snap.extend(arr)
-    if a1_list:
-        snap.extend(a1_list)
-    P = snap
-    k = len(P)
     a1 = len(a1_list) if a1_list else 0
+    p0_len = len(plan) + (len(arr) if arr else 0)
+    k = p0_len + a1
     if k < 2 * q or k % q or p0_len < q:
-        return None
+        return False
+    P = plan.snapshot()
+    if arr:
+        P.extend(arr)
+    if a1_list:
+        P.extend(a1_list)
     min_avail = min(grant_avail[i] for i in P)
     n_rounds = min_avail - 1  # leave one grant: no deadline can fire inside
     cap_rounds = ((end - 2 - tau) * q) // k
@@ -325,7 +330,7 @@ def _bulk_steady_segment(
         first_bad = int(np.argmin(feasible))
         n_rounds = (first_bad * q) // k
         if n_rounds < 2:
-            return None
+            return False
         ticks = n_rounds * k // q
         r_after = r_after[:ticks]
         deficits = deficits[:ticks]
@@ -449,15 +454,19 @@ def plan_drain(
     total_evicted = 0
     q = channels
     supports_bulk = plan.supports_bulk and hook is None
+    try_bulk = supports_bulk
     next_idx: dict[int, int] = dict.fromkeys(b_threads, 0) if needs_pages else {}
     tau = start
     while tau < end:
-        if supports_bulk and end - tau >= 2 * MIN_FF_TICKS:
+        if try_bulk and end - tau >= 2 * MIN_FF_TICKS:
             bulk = _bulk_steady_segment(
                 plan, sched, arrivals, tau, end, q, capacity, R, prot,
                 grant_avail,
             )
-            if bulk is not None:
+            if bulk is None:
+                # too few rounds fit: wait for a core to leave
+                try_bulk = False
+            elif bulk:
                 tau, qlen, prot, R, evicted = bulk
                 total_evicted += evicted
                 continue
@@ -541,11 +550,14 @@ def plan_drain(
                     if nxt is None:
                         nxt = []
                     nxt.append(i)
-                elif not completes[i] and rearrive < end:
-                    # Deadline: this core's next reference after the
-                    # granted one is uncertain and must be classified
-                    # by the per-tick engine.
-                    end = rearrive
+                else:
+                    # the core leaves the pipeline: bulk rounds may fit
+                    try_bulk = supports_bulk
+                    if not completes[i] and rearrive < end:
+                        # Deadline: this core's next reference after the
+                        # granted one is uncertain and must be
+                        # classified by the per-tick engine.
+                        end = rearrive
             if nxt and rearrive < end:
                 arrivals.setdefault(rearrive, []).extend(nxt)
             g_hist.append(ng)

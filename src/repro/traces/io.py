@@ -10,7 +10,9 @@ Two formats:
 
 :class:`WorkloadCache` memoizes expensive instrumented-trace generation
 (a full sort/SpGEMM workload takes seconds to minutes to regenerate) by
-hashing the generator kind and parameters.
+hashing the generator kind and parameters. An entry that exists but
+does not load (truncated by a dying writer or filesystem) is moved
+aside as ``<entry>.corrupt`` and regenerated, so it fails no later run.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from ..obs.log import get_logger
+from ..obs.log import get_logger, warn_once
 from .base import Trace, Workload, make_workload
 
 log = get_logger("traces.io")
@@ -36,6 +40,18 @@ __all__ = [
     "WorkloadCache",
     "default_cache_dir",
 ]
+
+
+#: what loading a damaged ``.npz`` raises: a truncated or garbled zip,
+#: a corrupt deflate stream, or a metadata blob that does not decode
+_UNREADABLE = (
+    zipfile.BadZipFile,
+    zlib.error,
+    EOFError,
+    KeyError,
+    IndexError,
+    ValueError,
+)
 
 
 def save_workload_npz(workload: Workload, path: str | os.PathLike) -> None:
@@ -164,12 +180,21 @@ class WorkloadCache:
         return self.directory / (self._key(kind, threads, seed, params) + ".npz")
 
     def get(self, kind: str, threads: int, seed: int = 0, **params: Any) -> Workload:
-        """Load the workload from cache, generating and storing on miss."""
+        """Load the workload from cache, generating and storing on miss.
+
+        An entry that does not load is quarantined (see
+        :meth:`_quarantine`) and regenerated like a miss.
+        """
         path = self.path_for(kind, threads, seed=seed, **params)
-        if path.exists():
+        try:
+            workload = load_workload_npz(path)
+        except FileNotFoundError:
+            log.debug("workload cache miss: %s (generating)", path.name)
+        except _UNREADABLE as exc:
+            self._quarantine(path, exc)
+        else:
             log.debug("workload cache hit: %s", path.name)
-            return load_workload_npz(path)
-        log.debug("workload cache miss: %s (generating)", path.name)
+            return workload
         workload = make_workload(kind, threads, seed=seed, **params)
         self.directory.mkdir(parents=True, exist_ok=True)
         # pid-suffixed temp name (matching ResultCache.put): two
@@ -184,22 +209,42 @@ class WorkloadCache:
             tmp.unlink(missing_ok=True)  # left behind only on failure
         return workload
 
+    def _quarantine(self, path: Path, exc: Exception) -> None:
+        """Move an undecodable entry aside as ``<stem>.corrupt``."""
+        try:
+            os.replace(path, path.with_suffix(".corrupt"))
+        except OSError:
+            pass  # a concurrent reader may have moved it already
+        warn_once(
+            log,
+            ("corrupt-workload", str(path)),
+            "workload cache entry %s does not load (%s: %s); moved aside "
+            "as .corrupt and regenerating",
+            path.name,
+            type(exc).__name__,
+            exc,
+        )
+
     def clear(self) -> int:
         """Delete every cached workload, plus any stale ``*.tmp*``
-        leftovers from killed writers; returns the number removed."""
+        leftovers from killed writers and quarantined ``*.corrupt``
+        entries; returns the number removed."""
         removed = 0
         if self.directory.exists():
             stale = set(self.directory.glob("*.npz"))
             stale.update(self.directory.glob("*.tmp*"))
+            stale.update(self.directory.glob("*.corrupt"))
             for f in stale:
                 f.unlink(missing_ok=True)
                 removed += 1
         return removed
 
     def stats(self) -> dict[str, Any]:
-        """Entry count and on-disk footprint, for ``repro cache stats``."""
+        """Entry count, on-disk footprint and quarantined entries, for
+        ``repro cache stats``."""
         entries = 0
         size = 0
+        corrupt = 0
         if self.directory.exists():
             for f in self.directory.glob("*.npz"):
                 entries += 1
@@ -207,4 +252,5 @@ class WorkloadCache:
                     size += f.stat().st_size
                 except OSError:
                     pass
-        return {"entries": entries, "bytes": size}
+            corrupt = sum(1 for _ in self.directory.glob("*.corrupt"))
+        return {"entries": entries, "bytes": size, "corrupt": corrupt}

@@ -267,3 +267,120 @@ class TestCliFlags:
         capsys.readouterr()
         assert main(["run", "thm4", "--no-strict"]) == 0
         assert "FAILED shape checks" in capsys.readouterr().err
+
+
+
+class TestWorkloadReuse:
+    """An in-process campaign builds or loads each distinct spec once,
+    shares it between the jobs that name it, and lets it go after its
+    last job."""
+
+    A, B, C = (
+        WorkloadSpec.make("random", threads=4, seed=s, length=120, pages=12)
+        for s in (1, 2, 3)
+    )
+    CONTENDED = (8, 8, 16, 16, 8, 24)
+
+    def _jobs(self, slots):
+        order = (self.A, self.B, self.A, self.B, self.C, self.A)
+        return [
+            SweepJob(spec, SimulationConfig(hbm_slots=k, seed=n))
+            for n, (spec, k) in enumerate(zip(order, slots))
+        ]
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Count workload loads and generations; for every engine call,
+        note the workloads it ran and which earlier ones were alive."""
+        import weakref
+
+        import repro.analysis.sweep as sweep
+        import repro.traces.io as io
+
+        calls = {"load": 0, "make": 0, "refs": [], "runs": []}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)  # count what returned a workload
+                calls[name] += 1
+                return result
+
+            return wrapper
+
+        def watching(fn):
+            def wrapper(first, *args, **kwargs):
+                batch = isinstance(first, list)
+                workloads = [w for w, _ in first] if batch else [first]
+                refs = calls["refs"]
+                calls["runs"].append(
+                    {
+                        "alive": [ref() is not None for ref in refs],
+                        "same": [ref() is workloads[0] for ref in refs],
+                        "lanes": len(workloads),
+                    }
+                )
+                refs.extend(weakref.ref(w) for w in workloads)
+                return fn(first, *args, **kwargs)
+
+            return wrapper
+
+        for module, name, key in (
+            (io, "load_workload_npz", "load"),
+            (io, "make_workload", "make"),
+            (sweep, "make_workload", "make"),
+        ):
+            monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+        for name in ("simulate", "simulate_batch"):
+            monkeypatch.setattr(sweep, name, watching(getattr(sweep, name)))
+        return calls
+
+    @pytest.mark.parametrize(
+        "engine, slots",
+        [("reference", CONTENDED), ("auto", (64,) * 6)],  # solo / batch lanes
+    )
+    def test_each_spec_loaded_once_and_released(
+        self, tmp_path, monkeypatch, engine, slots
+    ):
+        import dataclasses
+        import gc
+
+        from repro.analysis.sweep import SweepRecord
+        from repro.core.fastengine import simulate
+
+        jobs = self._jobs(slots)
+        # fill the on-disk workload cache; run with the result store off
+        SweepRunner(processes=1, cache_dir=tmp_path).prepare(jobs)
+        calls = self._spy(monkeypatch)
+        runner = SweepRunner(
+            processes=1, cache_dir=tmp_path, result_cache=False, engine=engine
+        )
+        records = runner.run(jobs)
+        gc.collect()
+        monkeypatch.undo()
+
+        assert (calls["load"], calls["make"]) == (3, 0)  # one per distinct spec
+        assert all(ref() is None for ref in calls["refs"])
+        runs = calls["runs"]
+        if engine == "reference":
+            assert len(runs) == 6
+            # the A jobs (0, 2, 5) and the B jobs (1, 3) share one object
+            assert runs[2]["same"][0] and runs[5]["same"][0]
+            assert runs[3]["same"][1]
+            # at C's job, B's last job is done and its workload is gone
+            assert runs[4]["alive"] == [True, False, True, False]
+        else:
+            assert [run["lanes"] for run in runs] == [6]
+            assert all(record.batched for record in records)
+
+        def metrics(record):
+            return dataclasses.replace(record, wall_time_s=0.0)
+
+        for job, record in zip(jobs, records):
+            fresh = simulate(job.workload.build(), job.config, engine="reference")
+            assert metrics(record) == metrics(SweepRecord.from_result(job, fresh))
+
+    def test_cold_campaign_generates_each_spec_once(self, tmp_path, monkeypatch):
+        calls = self._spy(monkeypatch)
+        jobs = self._jobs(self.CONTENDED)
+        SweepRunner(processes=1, cache_dir=tmp_path, engine="reference").run(jobs)
+        assert (calls["load"], calls["make"]) == (0, 3)

@@ -55,6 +55,25 @@ class TestDirectMappedCache:
         cache.reset_counters()
         assert cache.hits == cache.misses == 0
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.integers(0, 30), max_size=40),
+        st.lists(st.integers(0, 30), max_size=200),
+        st.integers(1, 12),
+        st.integers(0, 2**16),
+    )
+    def test_access_many_matches_per_touch(self, warm, stream, slots, seed):
+        batched = DirectMappedCache(slots, rng=np.random.default_rng(seed))
+        reference = DirectMappedCache(slots, rng=np.random.default_rng(seed))
+        for page in warm:  # tags left by earlier touches carry over
+            batched.access(page)
+            reference.access(page)
+        hits = batched.access_many(stream)
+        ref_hits = sum(reference.access(page) for page in stream)
+        assert hits == ref_hits
+        assert (batched.hits, batched.misses) == (reference.hits, reference.misses)
+        assert batched._tags == reference._tags
+
 
 class TestFullyAssociativeReference:
     def test_lru_miss_count(self):
@@ -120,6 +139,54 @@ class TestLemma1Transformation:
     @given(st.lists(st.integers(0, 40), min_size=1, max_size=300), st.integers(2, 16))
     def test_random_traces_never_diverge(self, trace, capacity):
         transform_overhead(np.asarray(trace), capacity, seed=5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(0, 60), min_size=1, max_size=300),
+        st.sampled_from(["lru", "fifo"]),
+        st.integers(2, 16),
+        st.integers(2, 4),
+        st.sampled_from([5, TransformedCacheSimulator.SETTLE_EVERY]),
+        st.integers(0, 2**16),
+    )
+    def test_batched_counts_equal_per_touch_replay(
+        self, trace, replacement, capacity, slack, settle_every, seed
+    ):
+        sim = TransformedCacheSimulator(
+            capacity, replacement=replacement, slack=slack, seed=seed
+        )
+        sim.SETTLE_EVERY = settle_every
+        touches = []
+        cache = sim.cache
+        batched = cache.access_many
+
+        def recording(pages):
+            touches.extend(pages)
+            return batched(pages)
+
+        cache.access_many = recording
+        report = sim.replay(trace)
+        # the same hash: the cache draws first from the seeded generator
+        rng = np.random.default_rng(seed)
+        reference = DirectMappedCache(slack * capacity, rng=rng)
+        for page in touches:
+            reference.access(page)
+        assert report.transformed_accesses == len(touches)
+        assert (report.transformed_hits, report.transformed_misses) == (
+            reference.hits,
+            reference.misses,
+        )
+
+    def test_cache_counts_pending_touches_when_read(self):
+        sim = TransformedCacheSimulator(8, seed=0)
+        for page in (1, 2, 3, 1, 9, 17):
+            sim.access(page)
+        assert sim.cache.hits + sim.cache.misses > 0
+        report = TransformedCacheSimulator(8, seed=0).replay([1, 2, 3, 1, 9, 17])
+        assert (sim.cache.hits, sim.cache.misses) == (
+            report.transformed_hits,
+            report.transformed_misses,
+        )
 
 
 class TestTheorem4:

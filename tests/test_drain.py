@@ -192,6 +192,57 @@ class TestBitIdentical:
         assert_ff_identical(wl.traces, cfg)
 
 
+class TestBulkSegmentBackoff:
+    """A FIFO plan that cannot fit two bulk rounds stops asking until a
+    core leaves its pipeline, instead of re-snapshotting every tick."""
+
+    @staticmethod
+    def _run(monkeypatch, bulk):
+        from repro.core.arbitration import _FifoDrainPlan
+
+        snapshots = 0
+        schedules = []
+        snapshot = _FifoDrainPlan.snapshot
+        planner = drain.plan_drain
+
+        def counting_snapshot(self):
+            nonlocal snapshots
+            snapshots += 1
+            return snapshot(self)
+
+        def recording_planner(plan, **kwargs):
+            sched = planner(plan, **kwargs)
+            if sched is not None:
+                schedules.append(
+                    {
+                        slot: getattr(sched, slot)
+                        for slot in drain.DrainSchedule.__slots__
+                        if slot != "plan"
+                    }
+                )
+            return sched
+
+        monkeypatch.setattr(_FifoDrainPlan, "snapshot", counting_snapshot)
+        monkeypatch.setattr(_FifoDrainPlan, "supports_bulk", bulk)
+        monkeypatch.setattr(drain, "plan_drain", recording_planner)
+        wl = make_workload("random", threads=64, seed=0, length=300, pages=40)
+        cfg = SimulationConfig(hbm_slots=48, arbitration="fifo", seed=0)
+        result = run_with_ff(Simulator, wl.traces, cfg, True)
+        monkeypatch.undo()
+        return result, schedules, snapshots
+
+    def test_few_snapshots_per_interval_and_same_schedule(self, monkeypatch):
+        result, schedules, snapshots = self._run(monkeypatch, bulk=True)
+        assert result.ff_intervals > 100
+        # one attempt per interval, plus one per core leaving; retrying
+        # on every planned tick took about 32 per interval here
+        assert snapshots <= 2 * result.ff_intervals
+        plain, plain_schedules, plain_snapshots = self._run(monkeypatch, bulk=False)
+        assert plain_snapshots == 0
+        assert_results_equal(result, plain)
+        assert schedules == plain_schedules
+
+
 class TestCrossRemap:
     """Plans chain across remap boundaries by replaying the permutation.
 

@@ -208,3 +208,40 @@ class TestWorkloadCacheRobustness:
         fresh = make_workload("random", 4, seed=3, length=200, pages=16)
         for a, b in zip(wl.traces, fresh.traces):
             np.testing.assert_array_equal(a, b)
+
+    def test_truncated_entry_is_quarantined_and_regenerated(self, tmp_path):
+        import dataclasses
+        import logging
+
+        from repro.analysis import SweepJob, SweepRunner, WorkloadSpec
+        from repro.core import SimulationConfig
+
+        warnings = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = warnings.append
+        logger = logging.getLogger("repro.traces.io")
+        logger.addHandler(handler)
+        spec = WorkloadSpec.make(**self.SPEC)
+        jobs = [SweepJob(spec, SimulationConfig(hbm_slots=k)) for k in (8, 16)]
+        runner = SweepRunner(processes=1, cache_dir=tmp_path, result_cache=False)
+        try:
+            first = runner.run(jobs)
+            (entry,) = tmp_path.glob("*.npz")
+            entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+            again = runner.run(jobs)
+            third = runner.run(jobs)  # served by the regenerated entry
+        finally:
+            logger.removeHandler(handler)
+
+        def metrics(records):
+            return [dataclasses.replace(r, wall_time_s=0.0) for r in records]
+
+        assert not any(r.failed for r in again + third)
+        assert metrics(again) == metrics(first) == metrics(third)
+        assert len(warnings) == 1 and entry.name in warnings[0].getMessage()
+        assert entry.with_suffix(".corrupt").exists()
+        assert load_workload_npz(entry).num_threads == 4
+        cache = WorkloadCache(tmp_path)
+        assert cache.stats()["corrupt"] == 1
+        assert cache.clear() == 2  # the entry and the quarantined one
+        assert cache.stats() == {"entries": 0, "bytes": 0, "corrupt": 0}
