@@ -178,7 +178,7 @@ def default_telemetry() -> "CampaignTelemetry | None":
 
 
 class HeartbeatWriter:
-    """Worker-side liveness beacon for one job (or batch) attempt.
+    """Worker-side liveness beacon for one job attempt.
 
     A daemon thread rewrites ``hb-<pid>.json`` in the campaign's spool
     directory every :data:`HEARTBEAT_INTERVAL_S` seconds while the job

@@ -1,4 +1,4 @@
-"""Batched lockstep engine: many sweep jobs per NumPy step.
+"""Batched lockstep engine: many simulation jobs per NumPy step.
 
 Sweeps (paper section 1.2's grids) run thousands of near-identical
 simulations whose per-tick work is a handful of small numpy kernels —
@@ -51,16 +51,15 @@ they run solo on the reference engine, which is faster there (the
 :class:`BatchResults` that :func:`simulate_batch` returns names the
 engine of every item).
 
-Knobs: ``set_batch_limit`` / the ``REPRO_BATCH`` env var cap how many
-lanes share one lockstep state (values < 2 disable batching); the CLI
-exposes ``--batch/--no-batch``. Purely performance — both settings
-produce identical records.
+:func:`simulate_batch` is a library and benchmark path: the sweep
+harness runs every job on its own, because almost no experiment job
+fits in HBM, the only regime where lockstep lanes pay (see the fit
+census in ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from typing import Any, Sequence
 
@@ -86,74 +85,10 @@ from .fastengine import (
 from .metrics import MetricsCollector
 
 __all__ = [
-    "DEFAULT_BATCH_LANES",
     "BatchSimulator",
-    "batch_limit",
     "batch_supported",
-    "set_batch_limit",
     "simulate_batch",
 ]
-
-#: default lane cap per lockstep state. Wide enough to amortize numpy
-#: dispatch across a typical sweep chunk; small enough that one slow
-#: lane does not hold dozens of finished lanes' memory live.
-DEFAULT_BATCH_LANES = 16
-
-_batch_limit_override: int | None = None
-
-
-def batch_limit() -> int:
-    """How many lanes :func:`simulate_batch` stacks per lockstep state.
-
-    Resolution order: :func:`set_batch_limit` override, then the
-    ``REPRO_BATCH`` environment variable (an integer lane cap, or
-    ``on``/``off``), then :data:`DEFAULT_BATCH_LANES`. Values below 2
-    disable batching entirely. Purely a performance knob — batched and
-    solo execution produce bit-identical results.
-    """
-    if _batch_limit_override is not None:
-        return _batch_limit_override
-    env = os.environ.get("REPRO_BATCH")
-    if env is not None:
-        text = env.strip().lower()
-        if text in ("off", "false", "no", "0"):
-            return 1
-        if text in ("on", "true", "yes", ""):
-            return DEFAULT_BATCH_LANES
-        try:
-            value = int(text)
-        except ValueError:
-            value = -1
-        if value < 0:
-            from ..obs.log import get_logger, warn_once
-
-            warn_once(
-                get_logger("core"),
-                "batch-env",
-                "ignoring invalid REPRO_BATCH=%r (want an integer lane "
-                "cap >= 0, or on/off); using default %d",
-                env,
-                DEFAULT_BATCH_LANES,
-            )
-            return DEFAULT_BATCH_LANES
-        return value
-    return DEFAULT_BATCH_LANES
-
-
-def set_batch_limit(n: int | None) -> int | None:
-    """Force the batch lane cap; returns the previous override.
-
-    ``None`` removes the override, restoring env-var/default
-    resolution; ``0`` or ``1`` disables batching. Used by the CLI's
-    ``--batch/--no-batch`` flags and by the differential tests to pin
-    one dispatch path.
-    """
-    global _batch_limit_override
-    if n is not None and n < 0:
-        raise ValueError(f"batch limit must be >= 0, got {n}")
-    previous = _batch_limit_override
-    _batch_limit_override = None if n is None else int(n)
-    return previous
 
 
 def _probes_passive(probes: Sequence[Any]) -> bool:
@@ -762,18 +697,17 @@ def _plan_batch(
     """(engine label, arrays, attestation) per item: the dispatch rule of
     :func:`simulate` per item, with eligible fast-path items whose probes
     are passive turned into ``"batch"`` lanes (see :class:`BatchResults`)."""
-    limit = batch_limit()
     plan: list[tuple[str | None, list[np.ndarray], Any]] = []
     native: list[int] = []
     for traces, config in items:
         arrays, attestation = _normalize_traces(traces)
         chosen, attestation = _choose(arrays, attestation, config, engine)
-        if chosen == "fast" and limit >= 2 and _probes_passive(config.probes):
+        if chosen == "fast" and _probes_passive(config.probes):
             native.append(len(plan))
             chosen = "batch"
         plan.append((chosen, arrays, attestation))
-    if native and len(native) % limit == 1:
-        # a lone trailing lane gains nothing from lockstep overhead
+    if len(native) == 1:
+        # a lone lane gains nothing from lockstep overhead
         _, arrays, attestation = plan[native[-1]]
         plan[native[-1]] = ("fast", arrays, attestation)
     return plan
@@ -787,8 +721,7 @@ class BatchResults(list):
     or ``"reference"`` for a solo run (the dispatch rule of
     :func:`repro.core.simulate`, which sends contended jobs to the
     reference engine), ``None`` where dispatch raises (``engine="fast"``
-    on an ineligible item). The sweep harness labels its records and
-    manifests from it.
+    on an ineligible item).
     """
 
     def __init__(self, results: list[Any], engines: list[str | None]) -> None:
@@ -806,10 +739,9 @@ def simulate_batch(
     Every item produces exactly what ``simulate(traces, config,
     engine=engine)`` would — the same :class:`SimulationResult` bit for
     bit, or the same exception. Items the dispatch rule sends to the
-    fast path and whose probes are passive are stacked into lockstep
-    groups of up to :func:`batch_limit` lanes; the rest (contended jobs
-    under ``"auto"``, ineligible ones, a lone trailing lane) run solo
-    through :func:`simulate`. Results are returned in input order, as a
+    fast path and whose probes are passive run in one lockstep state;
+    the rest (contended jobs under ``"auto"``, ineligible ones, a lone
+    eligible item) run solo through :func:`simulate`. Results are returned in input order, as a
     :class:`BatchResults` list whose ``engines`` names the engine of
     each item.
 
@@ -817,12 +749,10 @@ def simulate_batch(
     its attestation makes eligibility O(1)) or a raw trace sequence.
     With ``return_exceptions=True`` a failing item's exception is
     returned in its slot instead of raised, so one bad lane cannot
-    discard its batchmates' finished results (the sweep harness relies
-    on this for per-lane retries).
+    discard its batchmates' finished results.
     """
     items = list(items)
     engine = _check_engine(engine)
-    limit = batch_limit()
     results: list[Any] = [None] * len(items)
     plan = _plan_batch(items, engine)
     native: list[tuple[int, list[np.ndarray], Any, SimulationConfig]] = []
@@ -838,16 +768,12 @@ def simulate_batch(
             if not return_exceptions:
                 raise
             results[idx] = exc
-    # ``native`` is empty unless ``limit >= 2``; the floor keeps a
-    # disabled limit (0) from reaching range() as a zero step
-    step = max(limit, 1)
-    for chunk_start in range(0, len(native), step):
-        chunk = native[chunk_start : chunk_start + step]
+    if native:
         sim = BatchSimulator(
-            [(arrays, config) for _, arrays, _, config in chunk],
-            attestations=[attestation for _, _, attestation, _ in chunk],
+            [(arrays, config) for _, arrays, _, config in native],
+            attestations=[attestation for _, _, attestation, _ in native],
         )
-        for (idx, _, _, _), outcome in zip(chunk, sim.run()):
+        for (idx, _, _, _), outcome in zip(native, sim.run()):
             if isinstance(outcome, Exception) and not return_exceptions:
                 raise outcome
             results[idx] = outcome

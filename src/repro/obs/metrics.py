@@ -22,9 +22,9 @@ merges commute, the aggregate is independent of worker scheduling.
 
 The **phase profiler** rides on the same registry: engines and the
 sweep runner wrap their hot-path stages (``workload_build``,
-``simulate``, ``fast_forward``, ``cache_probe``, ``batch_form``,
-``reduce``) in :func:`phase` / :func:`record_phase`, which observe into
-the ``repro_phase_seconds`` histogram of whatever registry is *active*
+``simulate``, ``fast_forward``, ``cache_probe``, ``reduce``) in
+:func:`phase` / :func:`record_phase`, which observe into the
+``repro_phase_seconds`` histogram of whatever registry is *active*
 in the process (:func:`set_active_registry`). With no active registry
 every hook degrades to a single ``is None`` check, keeping the
 engines' <2% off-overhead guarantee (``benchmarks/test_bench_obs.py``).

@@ -48,27 +48,14 @@ def demo_jobs(threads=(2, 4), arbs=("fifo", "priority"), k=32):
 
 
 def count_engine_dispatch(monkeypatch, calls):
-    """Count per-job engine work through both dispatchers.
-
-    The runner may route eligible cache-miss jobs through
-    ``simulate_batch`` instead of per-job ``simulate``; each batched
-    lane counts as one call so cache-behavior assertions hold for any
-    ``batch_limit()``.
-    """
+    """Count per-job engine work: one ``simulate`` call per fresh job."""
     real = sweep_mod.simulate
-    real_batch = sweep_mod.simulate_batch
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    def counting_batch(items, *args, **kwargs):
-        items = list(items)
-        calls.extend([1] * len(items))
-        return real_batch(items, *args, **kwargs)
-
     monkeypatch.setattr(sweep_mod, "simulate", counting)
-    monkeypatch.setattr(sweep_mod, "simulate_batch", counting_batch)
 
 
 class TestWorkloadSpec:
@@ -193,7 +180,6 @@ class TestResultCache:
             raise AssertionError("engine invoked despite warm result cache")
 
         monkeypatch.setattr(sweep_mod, "simulate", boom)
-        monkeypatch.setattr(sweep_mod, "simulate_batch", boom)
         second = run_sweep(jobs, processes=1, cache_dir=tmp_path)
         assert all(not r.cached for r in first)
         assert all(r.cached for r in second)

@@ -6,12 +6,14 @@ batch-eligible configuration, running B jobs in NumPy lockstep must
 produce exactly the ``SimulationResult`` (metrics, response logs, probe
 samples, fast-forward counters) that ``simulate()`` produces for each
 job alone. Ineligible lanes fall back to the single-job dispatcher
-mid-batch with no observable difference, and the sweep harness's
-batched records and result-cache entries match unbatched runs byte for
-byte.
+mid-batch with no observable difference. The sweep harness runs every
+job on its own; a result store it wrote while it still formed lockstep
+units replays unchanged.
 """
 
 import dataclasses
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +26,7 @@ from repro.core import (
     BatchSimulator,
     SimulationConfig,
     SimulationLimitError,
-    batch_limit,
     batch_supported,
-    set_batch_limit,
     simulate,
     simulate_batch,
 )
@@ -92,13 +92,6 @@ def config_for(policy, slots, probes=()):
     )
 
 
-@pytest.fixture(autouse=True)
-def _restore_batch_limit():
-    previous = set_batch_limit(None)
-    yield
-    set_batch_limit(previous)
-
-
 class TestDifferentialBattery:
     """Batch-vs-reference bit identity over policies × families.
 
@@ -122,7 +115,6 @@ class TestDifferentialBattery:
                 singles.append((workload, config_for(policy, slots, (sp,))))
                 batch_probes.append(bp)
                 single_probes.append(sp)
-        set_batch_limit(len(items))
         batched = simulate_batch(items, engine="fast")
         assert batched.engines == ["batch"] * len(items)
         assert engine_runs() == {"batch": len(items)}
@@ -172,7 +164,6 @@ class TestEligibilityAndFallback:
             (w1, SimulationConfig(hbm_slots=192, channels=2, seed=5)),
             (w2, SimulationConfig(hbm_slots=96, seed=6)),
         ]
-        set_batch_limit(4)
         batched = simulate_batch(items)
         assert batched.engines == ["reference"] * 4 + ["batch"] * 2
         for (traces, config), result in zip(items, batched):
@@ -190,7 +181,6 @@ class TestEligibilityAndFallback:
             ([arr, empty, arr + 3], SimulationConfig(hbm_slots=4)),
             ([arr + 6, empty], SimulationConfig(hbm_slots=4)),
         ]
-        set_batch_limit(2)
         batched = simulate_batch(items, engine="fast")
         assert batched.engines == ["batch", "batch"]
         for (traces, config), result in zip(items, batched):
@@ -212,7 +202,6 @@ class TestLimitErrors:
         tight = SimulationConfig(hbm_slots=6, seed=9, max_ticks=10)
         with pytest.raises(SimulationLimitError) as single_err:
             simulate(w, tight)
-        set_batch_limit(2)
         with pytest.raises(SimulationLimitError) as batch_err:
             simulate_batch([(w, tight), (w, ok)], engine="fast")
         assert str(batch_err.value) == str(single_err.value)
@@ -221,7 +210,6 @@ class TestLimitErrors:
         w = make_workload("adversarial_cycle", threads=8, pages=12, repeats=8)
         ok = SimulationConfig(hbm_slots=24, channels=2, seed=9)
         tight = SimulationConfig(hbm_slots=6, seed=9, max_ticks=10)
-        set_batch_limit(3)
         got = simulate_batch(
             [(w, ok), (w, tight), (w, ok)],
             engine="fast",
@@ -233,65 +221,20 @@ class TestLimitErrors:
         assert results_equal(got[2], expected)
 
 
-class TestKnobs:
-    def test_set_batch_limit_round_trip(self):
-        previous = set_batch_limit(5)
-        assert batch_limit() == 5
-        assert set_batch_limit(previous) == 5
-        with pytest.raises(ValueError):
-            set_batch_limit(-1)
-
-    def test_env_knob(self, monkeypatch):
-        set_batch_limit(None)  # env only applies without an override
-        monkeypatch.setenv("REPRO_BATCH", "off")
-        assert batch_limit() == 1
-        monkeypatch.setenv("REPRO_BATCH", "4")
-        assert batch_limit() == 4
-        monkeypatch.setenv("REPRO_BATCH", "on")
-        assert batch_limit() > 1
-        monkeypatch.delenv("REPRO_BATCH")
-        assert batch_limit() > 1
-
-    @pytest.mark.parametrize("bad", ["three", "-2", "4.5"])
-    def test_invalid_env_warns_and_uses_default(self, monkeypatch, bad):
-        # the lane cap is a perf knob: a bad REPRO_BATCH must warn once
-        # and fall back to the default, never fail dispatch
-        import logging
-
-        from repro.core.batchengine import DEFAULT_BATCH_LANES
-        from repro.obs.log import get_logger, reset_warn_once
-
-        set_batch_limit(None)
-        monkeypatch.setenv("REPRO_BATCH", bad)
-        reset_warn_once()
-        captured: list[str] = []
-        handler = logging.Handler()
-        handler.emit = lambda rec: captured.append(rec.getMessage())
-        logger = get_logger("core")
-        logger.addHandler(handler)
-        try:
-            assert batch_limit() == DEFAULT_BATCH_LANES
-            assert batch_limit() == DEFAULT_BATCH_LANES  # warn once only
-        finally:
-            logger.removeHandler(handler)
-        assert len(captured) == 1
-        assert "REPRO_BATCH" in captured[0]
-
-    def test_limit_one_forces_single_path(self):
-        w = make_workload("zipf", threads=8, seed=1, length=200, pages=24)
-        config = SimulationConfig(hbm_slots=12, channels=2, seed=1)
-        set_batch_limit(1)
-        (result,) = simulate_batch([(w, config)])
-        assert results_equal(result, simulate(w, config))
+#: result-store entries for ``TestSweepIntegration._jobs``, written by
+#: the sweep runner when it still ran jobs that fit in HBM as lockstep
+#: lanes: four manifests name engine ``batch`` with ``batch_lanes`` 4
+BATCHED_STORE = Path(__file__).resolve().parent / "data" / "batched_store"
 
 
 class TestSweepIntegration:
-    """Batched SweepRunner records and cache writes match unbatched."""
+    """Sweep records match per-job simulation on every engine, and a
+    store written by lockstep lanes replays without simulating."""
 
     @staticmethod
     def _jobs():
-        # four jobs fit in HBM (8 x 24 pages <= 192 slots) and batch;
-        # two are contended and run solo on the reference engine
+        # four jobs fit in HBM (8 x 24 pages <= 192 slots) and run on the
+        # fast engine; two are contended and run on the reference engine
         jobs = []
         for i in range(6):
             spec = WorkloadSpec.make("zipf", 8, seed=10 + i, length=200, pages=24)
@@ -313,39 +256,32 @@ class TestSweepIntegration:
         return jobs
 
     @staticmethod
-    def _row(record):
-        row = dict(record.row())
-        # wall time and the batched flag describe the execution path,
-        # not the simulation outcome, so they legitimately differ
-        # between batch and solo dispatch.
-        row.pop("wall_time_s", None)
-        row.pop("batched", None)
-        return row
+    def _metrics(record):
+        # wall time describes the execution, not the simulation outcome
+        return dataclasses.replace(record, wall_time_s=0.0, cached=False)
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_records_identical(self, processes):
         jobs = self._jobs()
-        set_batch_limit(1)
-        baseline = run_sweep(jobs, processes=1, result_cache=False)
-        set_batch_limit(4)
-        batched = run_sweep(jobs, processes=processes, result_cache=False)
-        for a, b in zip(baseline, batched):
-            assert self._row(a) == self._row(b)
-        assert not any(r.batched for r in baseline)
-        lockstep = {r.job.tag for r in batched if r.batched}
-        assert len(lockstep) >= 2
-        assert lockstep <= {"j0", "j2", "j3", "j5"}
+        baseline = run_sweep(
+            jobs, processes=1, result_cache=False, engine="reference"
+        )
+        auto = run_sweep(jobs, processes=processes, result_cache=False)
+        assert [self._metrics(r) for r in auto] == [
+            self._metrics(r) for r in baseline
+        ]
 
     def test_pre_existing_caches_stay_warm(self, tmp_path):
-        jobs = self._jobs()
-        set_batch_limit(1)
-        run_sweep(jobs, processes=1, cache_dir=tmp_path)
-        set_batch_limit(4)
         from repro.analysis import SweepRunner
 
+        jobs = self._jobs()
+        shutil.copytree(BATCHED_STORE, tmp_path / "results")
         runner = SweepRunner(processes=1, cache_dir=tmp_path)
         records = runner.run(jobs)
-        # every unbatched entry replays: batching changes no cache key
         assert runner.last_campaign.cache_hits == len(jobs)
         assert runner.last_campaign.simulated == 0
         assert all(r.cached for r in records)
+        fresh = run_sweep(jobs, processes=1, result_cache=False)
+        assert [self._metrics(r) for r in records] == [
+            self._metrics(r) for r in fresh
+        ]

@@ -290,8 +290,8 @@ class TestWorkloadReuse:
 
     @staticmethod
     def _spy(monkeypatch):
-        """Count workload loads and generations; for every engine call,
-        note the workloads it ran and which earlier ones were alive."""
+        """Count workload loads and generations; for every engine run,
+        note the workload it ran and which earlier ones were alive."""
         import weakref
 
         import repro.analysis.sweep as sweep
@@ -308,19 +308,16 @@ class TestWorkloadReuse:
             return wrapper
 
         def watching(fn):
-            def wrapper(first, *args, **kwargs):
-                batch = isinstance(first, list)
-                workloads = [w for w, _ in first] if batch else [first]
+            def wrapper(workload, *args, **kwargs):
                 refs = calls["refs"]
                 calls["runs"].append(
                     {
                         "alive": [ref() is not None for ref in refs],
-                        "same": [ref() is workloads[0] for ref in refs],
-                        "lanes": len(workloads),
+                        "same": [ref() is workload for ref in refs],
                     }
                 )
-                refs.extend(weakref.ref(w) for w in workloads)
-                return fn(first, *args, **kwargs)
+                refs.append(weakref.ref(workload))
+                return fn(workload, *args, **kwargs)
 
             return wrapper
 
@@ -330,13 +327,13 @@ class TestWorkloadReuse:
             (sweep, "make_workload", "make"),
         ):
             monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
-        for name in ("simulate", "simulate_batch"):
-            monkeypatch.setattr(sweep, name, watching(getattr(sweep, name)))
+        monkeypatch.setattr(sweep, "simulate", watching(sweep.simulate))
         return calls
 
     @pytest.mark.parametrize(
         "engine, slots",
-        [("reference", CONTENDED), ("auto", (64,) * 6)],  # solo / batch lanes
+        # contended jobs on the reference engine / fitting ones on fast
+        [("reference", CONTENDED), ("auto", (64,) * 6)],
     )
     def test_each_spec_loaded_once_and_released(
         self, tmp_path, monkeypatch, engine, slots
@@ -361,16 +358,12 @@ class TestWorkloadReuse:
         assert (calls["load"], calls["make"]) == (3, 0)  # one per distinct spec
         assert all(ref() is None for ref in calls["refs"])
         runs = calls["runs"]
-        if engine == "reference":
-            assert len(runs) == 6
-            # the A jobs (0, 2, 5) and the B jobs (1, 3) share one object
-            assert runs[2]["same"][0] and runs[5]["same"][0]
-            assert runs[3]["same"][1]
-            # at C's job, B's last job is done and its workload is gone
-            assert runs[4]["alive"] == [True, False, True, False]
-        else:
-            assert [run["lanes"] for run in runs] == [6]
-            assert all(record.batched for record in records)
+        assert len(runs) == 6
+        # the A jobs (0, 2, 5) and the B jobs (1, 3) share one object
+        assert runs[2]["same"][0] and runs[5]["same"][0]
+        assert runs[3]["same"][1]
+        # at C's job, B's last job is done and its workload is gone
+        assert runs[4]["alive"] == [True, False, True, False]
 
         def metrics(record):
             return dataclasses.replace(record, wall_time_s=0.0)

@@ -1,16 +1,19 @@
 """The engine dispatch rule and the labels that report it.
 
-``engine="auto"`` runs a job on the fast path (solo or as a lockstep
-batch lane) only when the job is eligible *and* its working set fits in
-HBM (``hbm_slots > attestation.max_page``); a contended job runs on the
-reference engine, which is the faster engine there. Every label the
-program writes — ``resolve_engine``, ``simulate_batch(...).engines``,
-the sweep record's ``batched`` flag, the manifest's ``engine`` and
+``engine="auto"`` runs a job on the fast path (solo, or as a lockstep
+lane of :func:`simulate_batch`) only when the job is eligible *and* its
+working set fits in HBM (``hbm_slots > attestation.max_page``); a
+contended job runs on the reference engine, which is the faster engine
+there. Every label the program writes — ``resolve_engine``,
+``simulate_batch(...).engines``, the sweep manifest's ``engine`` and
 ``repro_engine_runs_total{engine}`` — must name the engine that ran.
+The sweep runs every job on its own and never calls the batch engine.
 """
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import time
 
 import pytest
@@ -23,7 +26,6 @@ from repro.core import (
     SimulationConfig,
     Simulator,
     resolve_engine,
-    set_batch_limit,
     simulate,
     simulate_batch,
 )
@@ -45,13 +47,6 @@ def assert_same_result(a, b):
     for f in dataclasses.fields(a):
         if f.name != "wall_time_s":
             assert getattr(a, f.name) == getattr(b, f.name), f.name
-
-
-@pytest.fixture(autouse=True)
-def _restore_batch_limit():
-    previous = set_batch_limit(None)
-    yield
-    set_batch_limit(previous)
 
 
 @pytest.fixture()
@@ -125,7 +120,6 @@ class TestBatchDispatch:
 
     def test_mixed_list_bit_identical_to_per_item(self, ran, engine_runs):
         items = self.mixed_items()
-        set_batch_limit(16)
         batched = simulate_batch(items)
         assert batched.engines == ["reference", "batch"] * 3 + ["reference"]
         self.assert_ran_as_labelled(ran, items, batched.engines)
@@ -134,34 +128,17 @@ class TestBatchDispatch:
             assert_same_result(result, simulate(traces, cfg))
 
     def test_lone_trailing_lane_is_labelled_fast(self, ran, engine_runs):
-        items = self.mixed_items()
-        set_batch_limit(2)
+        # one eligible item among contended ones runs solo on the fast path
+        items = self.mixed_items()[:3]
         batched = simulate_batch(items)
-        assert batched.engines == ["reference", "batch", "reference", "batch"] + [
-            "reference", "fast", "reference"
-        ]
+        assert batched.engines == ["reference", "fast", "reference"]
         self.assert_ran_as_labelled(ran, items, batched.engines)
-        assert engine_runs() == {"reference": 4, "batch": 2, "fast": 1}
-
-    @pytest.mark.parametrize("limit", [0, 1])
-    def test_disabled_batching_runs_every_item_solo(self, ran, limit):
-        items = self.mixed_items()
-        set_batch_limit(limit)
-        batched = simulate_batch(items)
-        assert batched.engines == ["reference", "fast"] * 3 + ["reference"]
-        self.assert_ran_as_labelled(ran, items, batched.engines)
+        assert engine_runs() == {"reference": 2, "fast": 1}
         for (traces, cfg), result in zip(items, batched):
             assert_same_result(result, simulate(traces, cfg))
 
-    def test_env_zero_disables_batching(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "00")
-        set_batch_limit(None)
-        batched = simulate_batch(self.mixed_items())
-        assert "batch" not in batched.engines
-
     def test_forced_fast_batches_contended_lanes(self, ran):
         items = self.mixed_items()
-        set_batch_limit(16)
         assert simulate_batch(items, engine="fast").engines == ["batch"] * len(items)
         assert {label for label, _ in ran} == {"batch"}
 
@@ -171,9 +148,8 @@ class TestBatchDispatch:
 
 
 class TestSweepLabels:
-    """The worker hands contended lanes of a batch unit back to the
-    parent, which runs each as its own job (in parallel under a pool);
-    only lanes that fit in HBM stay in the lockstep unit."""
+    """The sweep runs every job as its own attempt, in process or in a
+    pool worker; its manifest names the engine that ran it."""
 
     def jobs(self):
         spec = WorkloadSpec.make("zipf", 6, seed=4, length=300, pages=20)
@@ -182,45 +158,19 @@ class TestSweepLabels:
             for i in range(5)
         ]
 
-    def test_batch_unit_hands_contended_lanes_back(self, ran, engine_runs):
-        sweep_mod._pool_init(None, None)
-        set_batch_limit(16)
-        jobs = self.jobs()
-        outcomes = sweep_mod._run_batch(jobs, [1] * len(jobs))
-        assert [isinstance(o, sweep_mod._BatchAbort) for o in outcomes] == [
-            True, False, True, False, True
-        ]
-        assert sorted(ran) == [("batch", 1), ("batch", 3)]
-        for lane, k in enumerate((1, 3)):
-            record, manifest = outcomes[k]
-            assert record.batched and manifest["engine"] == "batch"
-            assert manifest["execution"]["batch_lanes"] == 2
-            assert manifest["execution"]["batch_lane"] == lane
-        assert engine_runs() == {"batch": 2}
-
-    def test_all_contended_unit_runs_nothing(self, ran):
-        sweep_mod._pool_init(None, None)
-        jobs = [j for j in self.jobs() if j.config.hbm_slots == CONTENDED]
-        outcomes = sweep_mod._run_batch(jobs, [1] * len(jobs))
-        assert all(isinstance(o, sweep_mod._BatchAbort) for o in outcomes)
-        assert ran == []
-
-    def test_lone_fitting_lane_is_labelled_fast(self, ran):
-        sweep_mod._pool_init(None, None)
-        set_batch_limit(16)
-        jobs = self.jobs()[:2]
-        outcomes = sweep_mod._run_batch(jobs, [1, 1])
-        assert isinstance(outcomes[0], sweep_mod._BatchAbort)
-        record, manifest = outcomes[1]
-        assert not record.batched and manifest["engine"] == "fast"
-        assert ran == [("fast", 1)]
+    @staticmethod
+    def expected_runs(jobs):
+        return sorted(
+            ("fast" if job.config.hbm_slots == FITS else "reference", job.config.seed)
+            for job in jobs
+        )
 
     def test_solo_job_labels_name_the_engine_that_ran(self, ran, engine_runs):
         sweep_mod._pool_init(None, None)
         for job in self.jobs()[:2]:
             record, manifest = sweep_mod._run_job(job)
-            assert not record.batched
             assert manifest["engine"] == ran[-1][0]
+            assert manifest["execution"] == {"attempt": 1}
         assert [label for label, _ in ran] == ["reference", "fast"]
         assert engine_runs() == {"reference": 1, "fast": 1}
 
@@ -233,17 +183,12 @@ class TestSweepLabels:
             return build(spec, cache)
 
         monkeypatch.setattr(WorkloadSpec, "build", counted_build)
-        set_batch_limit(16)
-        records = SweepRunner(processes=1, result_cache=False).run(self.jobs())
-        # in-process, the five jobs' one spec is built once: by the batch
-        # unit, whose handed-back lanes reuse it
+        jobs = self.jobs()
+        SweepRunner(processes=1, result_cache=False).run(jobs)
+        # in-process, the five jobs' one spec is built once and shared
         assert len(builds) == 1
-        ran_by_seed = {seed: label for label, seed in ran}
-        assert len(ran) == len(ran_by_seed) == 5  # every job ran exactly once
-        for record in records:
-            engine = ran_by_seed[record.job.config.seed]
-            assert record.batched == (engine == "batch"), record.job.tag
-        assert engine_runs() == {"reference": 3, "batch": 2}
+        assert sorted(ran) == self.expected_runs(jobs)  # each job ran once
+        assert engine_runs() == {"reference": 3, "fast": 2}
 
     @pytest.mark.parametrize("cache_dir", [False, True])
     def test_pool_campaign_runs_contended_jobs_as_their_own(
@@ -257,30 +202,94 @@ class TestSweepLabels:
             return make_pool(self, workers)
 
         monkeypatch.setattr(SweepRunner, "_make_pool", sized_pool)
-        set_batch_limit(16)
         jobs = self.jobs()
         store = tmp_path / "store"
-        records = SweepRunner(
+        SweepRunner(
             processes=2,
             cache_dir=tmp_path / "wl" if cache_dir else None,
             store=str(store),
         ).run(jobs)
-        # one batch unit, but its handed-back lanes need the whole pool
         assert pool_sizes == [2]
-        assert [r.batched for r in records] == [False, True, False, True, False]
-        executions = sorted(
-            (m["engine"], m["execution"].get("batch_lanes"))
-            for m in (
-                json.loads(path.read_text())["manifest"]
-                for path in store.glob("*.json")
+        manifests = [
+            json.loads(path.read_text())["manifest"] for path in store.glob("*.json")
+        ]
+        assert sorted(m["engine"] for m in manifests) == ["fast"] * 2 + [
+            "reference"
+        ] * 3
+        assert all(m["execution"] == {"attempt": 1} for m in manifests)
+
+
+def _fork_spy(monkeypatch, tmp_path, owner, name):
+    """Patch ``owner.name`` to append the caller's pid to a file before
+    running; forked pool workers inherit the patch. Returns a callable
+    listing the logged pids."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers inherit the spy only under fork")
+    log = tmp_path / f"{name}.pids"
+    log.touch()
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return lambda: [int(pid) for pid in log.read_text().split()]
+
+
+class TestOneDispatchPath:
+    """Cache-miss jobs take one path, :func:`repro.analysis.sweep._run_job`:
+    no lockstep units, no lanes handed back and run again."""
+
+    def test_pool_campaign_builds_each_job_workload_once(self, tmp_path, monkeypatch):
+        specs = [
+            WorkloadSpec.make("zipf", 6, seed=s, length=300, pages=20) for s in range(4)
+        ]
+        jobs = [
+            SweepJob(spec, config(CONTENDED, seed=i), tag=f"s{s}-{i}")
+            for s, spec in enumerate(specs)
+            for i in range(2)
+        ]
+        builds = _fork_spy(monkeypatch, tmp_path, WorkloadSpec, "build")
+        runner = SweepRunner(processes=2, cache_dir=tmp_path / "wl", result_cache=False)
+        runner.run(jobs)
+        assert runner.last_campaign.simulated == len(jobs)
+        in_workers = [pid for pid in builds() if pid != os.getpid()]
+        # the parent warms the on-disk cache once per spec; each worker
+        # attempt then loads its own job's workload exactly once
+        assert len(builds()) - len(in_workers) == len(specs)
+        assert len(in_workers) == len(jobs)
+
+    @pytest.mark.parametrize("engine", ["auto", "fast"])
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_campaign_never_calls_the_batch_engine(
+        self, tmp_path, monkeypatch, processes, engine
+    ):
+        import repro.core.batchengine as batchengine
+
+        # every simulate_batch call plans its items first, under whatever
+        # name its caller imported it
+        calls = _fork_spy(monkeypatch, tmp_path, batchengine, "_plan_batch")
+        lockstep = _fork_spy(monkeypatch, tmp_path, BatchSimulator, "run")
+        jobs = [
+            SweepJob(
+                WorkloadSpec.make("zipf", 6, seed=4, length=300, pages=20),
+                config(FITS if i % 2 else CONTENDED, seed=i),
+                tag=f"j{i}",
             )
-        )
-        assert executions == [("batch", 2)] * 2 + [("reference", None)] * 3
+            for i in range(6)
+        ]
+        records = SweepRunner(
+            processes=processes, result_cache=False, engine=engine
+        ).run(jobs)
+        assert not any(r.failed for r in records)
+        assert calls() == [] and lockstep() == []
 
 
 class TestPhaseLedger:
-    """Per-lane batch times split the batch wall instead of each
-    counting it from batch start, so phases add up to the wall."""
+    """Phases add up to the wall: per-lane batch times split the batch
+    wall, and a campaign's disjoint phases never exceed its wall."""
 
     def test_lane_walls_sum_to_batch_wall(self):
         lanes = [(WORKLOAD.traces, config(FITS, seed=i)) for i in range(6)]
@@ -289,17 +298,16 @@ class TestPhaseLedger:
         wall = time.perf_counter() - start
         assert sum(r.wall_time_s for r in results) <= wall
 
-    def test_single_process_campaign_phases_sum_to_wall(self, registry):
-        set_batch_limit(8)
+    def test_single_process_campaign_phases_sum_to_wall(self, registry, engine_runs):
         spec = WorkloadSpec.make("zipf", 8, seed=1, length=2000, pages=16)
         jobs = [
             SweepJob(spec, config(128 if i < 8 else 64, seed=i), tag=f"j{i}")
             for i in range(12)
         ]
         start = time.perf_counter()
-        records = SweepRunner(processes=1, result_cache=False).run(jobs)
+        SweepRunner(processes=1, result_cache=False).run(jobs)
         wall = time.perf_counter() - start
-        assert sum(r.batched for r in records) == 8
+        assert engine_runs() == {"fast": 8, "reference": 4}
         phases = {
             dict(key)["phase"]: cell["sum"]
             for key, cell in registry.families()[PHASE_METRIC].series().items()

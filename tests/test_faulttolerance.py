@@ -30,7 +30,7 @@ from repro.analysis import (
 )
 from repro.analysis.faults import FaultSpec, InjectedFault, maybe_inject
 from repro.analysis.sweep import JobTimeout, _job_deadline
-from repro.core import SimulationConfig, set_batch_limit
+from repro.core import SimulationConfig
 
 #: deterministic engine-produced fields (wall_time_s varies per run)
 METRIC_FIELDS = (
@@ -55,12 +55,12 @@ def _clean_fault_plan():
     set_fault_plan(previous)
 
 
-def demo_jobs(victim_tag="victim", hbm_slots=32):
+def demo_jobs(victim_tag="victim"):
     """Four jobs; exactly one carries the fault-matched tag.
 
-    At the default 32 slots the 4-thread jobs (64 pages) are contended
-    and only the 2-thread ones fit in HBM; at 64 slots all four fit, so
-    ``engine="auto"`` runs every one on the fast path.
+    At 32 slots the 4-thread jobs (64 pages) are contended and run on
+    the reference engine; the 2-thread ones fit in HBM and run on the
+    fast engine.
     """
     jobs = []
     for threads in (2, 4):
@@ -71,7 +71,7 @@ def demo_jobs(victim_tag="victim", hbm_slots=32):
             tag = victim_tag if (threads, arb) == (4, "priority") else f"ok-{threads}-{arb}"
             jobs.append(
                 SweepJob(
-                    spec, SimulationConfig(hbm_slots=hbm_slots, arbitration=arb), tag=tag
+                    spec, SimulationConfig(hbm_slots=32, arbitration=arb), tag=tag
                 )
             )
     return jobs
@@ -444,70 +444,6 @@ class TestNoFaultEquivalence:
         assert stats.pool_rebuilds == 0
 
 
-@pytest.fixture
-def _forced_batching():
-    """Force batch units of up to 4 lanes regardless of REPRO_BATCH."""
-    previous = set_batch_limit(4)
-    yield
-    set_batch_limit(previous)
-
-
-@pytest.mark.usefixtures("_forced_batching")
-class TestBatchFormationUnderFaults:
-    """A lane dying mid-batch is retried solo; survivors are unaffected.
-
-    ``demo_jobs`` uses one config family (lru/protect_pending, no
-    probes); at 64 slots all four jobs also fit in HBM, so they are
-    batch lanes under ``engine="auto"`` and — with the limit forced to
-    4 — run as a single lockstep batch unit on the first attempt
-    (contended jobs would be handed back to run solo, and the faults
-    would never meet a batch).
-    """
-
-    def test_transient_lane_fault_retried_solo(self):
-        jobs = demo_jobs(hbm_slots=64)
-        baseline = run_sweep(jobs, processes=1)
-        set_fault_plan("raise:victim")  # first attempt only
-        runner = SweepRunner(processes=1, **FAST_RETRY)
-        records = runner.run(jobs)
-        assert_matches_baseline(records, baseline)  # nothing failed
-        stats = runner.last_campaign
-        assert stats.retried == 1 and stats.failed == 0
-
-    def test_permanent_lane_fault_leaves_survivors_intact(self):
-        jobs = demo_jobs(hbm_slots=64)
-        baseline = run_sweep(jobs, processes=1)
-        set_fault_plan("raise:victim:attempts=0")
-        runner = SweepRunner(processes=1, retries=1, **FAST_RETRY)
-        records = runner.run(jobs)
-        assert_matches_baseline(records, baseline, expect_failed={"victim"})
-        victim = next(r for r in records if r.job.tag == "victim")
-        assert victim.error.kind == "exception"
-        assert victim.error.error_type == "InjectedFault"
-        assert victim.error.attempts == 2
-
-    def test_killed_worker_recovers_whole_batch(self):
-        jobs = demo_jobs(hbm_slots=64)
-        baseline = run_sweep(jobs, processes=1)
-        set_fault_plan("kill:victim")
-        runner = SweepRunner(processes=2, **FAST_RETRY)
-        records = runner.run(jobs)
-        assert_matches_baseline(records, baseline)
-        stats = runner.last_campaign
-        assert stats.pool_rebuilds == 1
-        assert stats.recovered >= 1
-
-    def test_batch_manifest_records_lane_geometry(self, tmp_path):
-        jobs = demo_jobs(hbm_slots=64)
-        SweepRunner(processes=1, cache_dir=tmp_path).run(jobs)
-        execution = [
-            json.loads(path.read_text())["manifest"]["execution"]
-            for path in (tmp_path / "results").glob("*.json")
-        ]
-        assert {e["batch_lanes"] for e in execution} == {len(jobs)}
-        assert sorted(e["batch_lane"] for e in execution) == list(range(len(jobs)))
-
-
 class TestWatchdogDeadline:
     """The ``_job_deadline`` watchdog fallback enforces timeouts off the
     main thread, where SIGALRM is unavailable."""
@@ -544,19 +480,3 @@ class TestWatchdogDeadline:
         thread.start()
         thread.join(timeout=30)
         assert outcome["result"] == "finished"
-
-    def test_timeout_of_batched_lane_fails_only_that_attempt(self):
-        jobs = demo_jobs(hbm_slots=64)
-        baseline = run_sweep(jobs, processes=1)
-        set_fault_plan("sleep:victim:seconds=5")
-        previous = set_batch_limit(4)
-        try:
-            runner = SweepRunner(processes=1, job_timeout=0.5, **FAST_RETRY)
-            records = runner.run(jobs)
-        finally:
-            set_batch_limit(previous)
-        # sleep fault clears on attempt 2 (attempts=1 default), so the
-        # solo retry succeeds and every record matches the baseline.
-        assert_matches_baseline(records, baseline)
-        stats = runner.last_campaign
-        assert stats.retried >= 1 and stats.failed == 0

@@ -294,11 +294,16 @@ def _cache_entries(cache_dir):
     Wall-clock fields differ between *any* two runs (telemetry or not),
     so they are reduced to their key structure: values dropped, key
     sets kept — a telemetry leak would still show up as an extra key.
+    The glob also reaches the campaign checkpoint
+    (``campaigns/<id>/manifest.json``), whose ``created_at`` stamp is
+    one such field.
     """
     entries = {}
     for path in sorted((cache_dir / "results").rglob("*.json")):
         doc = json.loads(path.read_text(encoding="utf-8"))
         doc["wall_time_s"] = "<wall>"
+        if "created_at" in doc:
+            doc["created_at"] = "<wall>"
         timings = doc.get("manifest", {}).get("timings")
         if timings is not None:
             doc["manifest"]["timings"] = sorted(timings)
@@ -356,12 +361,10 @@ class TestTelemetryIsInert:
         tele.close()
         warm = SweepRunner(processes=1, cache_dir=tmp_path / "c").run(jobs())
         assert all(r.cached for r in warm)
-        assert all(not r.batched for r in warm)  # replays never claim lockstep
         cold_rows = _comparable_rows(cold)
         warm_rows = _comparable_rows(warm)
         for row in cold_rows + warm_rows:
             row.pop("cached")
-            row.pop("batched")
         assert cold_rows == warm_rows
 
 
@@ -524,6 +527,58 @@ class TestBenchTrend:
         )
         current = benchtrend.load_bench_files([tmp_path / "a", tmp_path / "b"])
         assert current == {"engine": {"ff_speedup": 5.0}}
+
+
+def _doc_table(text, header):
+    """Rows of the Markdown table whose header row starts with
+    ``header``, as lists of stripped cells."""
+    lines = text.splitlines()
+    start = next((i for i, line in enumerate(lines) if line.startswith(header)), None)
+    assert start is not None, f"no table headed {header!r}"
+    rows = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+class TestDocumentedMetrics:
+    """``docs/OBSERVABILITY.md`` names exactly the metric families and
+    phases a campaign exports, so the docs cannot drift from the code."""
+
+    def test_tables_match_the_exported_registry(self, tmp_path):
+        import re
+        from pathlib import Path
+
+        from repro.experiments import run_experiment
+
+        metrics_path = tmp_path / "m.prom"
+        prev = set_telemetry_defaults(metrics_out=metrics_path)
+        try:
+            # fig3's adversarial cycles fast-forward, so every family
+            # (the FF prover counters included) and every phase shows up
+            run_experiment(
+                "fig3", scale="smoke", processes=1, cache_dir=tmp_path / "cache"
+            )
+        finally:
+            set_telemetry_defaults(**prev)
+        text = metrics_path.read_text(encoding="utf-8")
+        exported = dict(re.findall(r"^# TYPE (\S+) (\S+)$", text, re.M))
+        phases = set(re.findall(r'phase="([a-z_]+)"', text))
+
+        doc = Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
+        doc_text = doc.read_text(encoding="utf-8")
+        documented = {
+            name: row[1]
+            for row in _doc_table(doc_text, "| metric |")
+            for name in re.findall(r"`(repro_\w+)`", row[0])
+        }
+        documented_phases = {
+            row[0].strip("`") for row in _doc_table(doc_text, "| phase |")
+        }
+        assert documented == exported
+        assert documented_phases == phases
 
 
 class TestEventSchemaV2:
