@@ -114,12 +114,9 @@ def test_campaign_telemetry_overhead(tmp_path):
     """Campaign telemetry must cost < 2% of a sweep's wall time.
 
     The same job list runs through the sequential runner with telemetry
-    fully enabled (metrics snapshot + event stream + live sink on a
-    non-TTY stream — the worst case short of an actual terminal) and
-    with telemetry off, interleaved best-of-N like the probe guard.
+    fully enabled (metrics snapshot + event stream) and with telemetry
+    off, interleaved best-of-N like the probe guard.
     """
-    import io
-
     from repro.analysis import SweepJob, SweepRunner, WorkloadSpec
     from repro.analysis.telemetry import CampaignTelemetry
 
@@ -142,8 +139,6 @@ def test_campaign_telemetry_overhead(tmp_path):
         tele = CampaignTelemetry(
             metrics_out=tmp_path / "m.prom",
             events_out=tmp_path / "e.jsonl",
-            live=True,
-            stream=io.StringIO(),
         )
         try:
             SweepRunner(processes=1, telemetry=tele).run(jobs)

@@ -73,7 +73,7 @@ def main():
           "processes=2 ==")
     previous = set_fault_plan("kill:victim:attempts=1")
     try:
-        runner = SweepRunner(processes=2, retries=1, retry_backoff_s=0.05)
+        runner = SweepRunner(processes=2, retries=1)
         records = runner.run(jobs)
     finally:
         set_fault_plan(previous)

@@ -143,28 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: no deadline)",
     )
     run_p.add_argument(
-        "--retry-backoff", type=float, default=None, metavar="SECONDS",
-        help="initial retry backoff, doubled per attempt (default: 0.5)",
-    )
-    run_p.add_argument(
-        "--max-pool-rebuilds", type=int, default=None, metavar="N",
-        help="worker-pool rebuilds tolerated per campaign before the "
-        "lost jobs are failed (default: 3)",
-    )
-    fail_mode = run_p.add_mutually_exclusive_group()
-    fail_mode.add_argument(
-        "--keep-going", dest="failure_mode", action="store_const",
-        const="keep_going",
-        help="record permanently failed sweep jobs as failed records "
-        "and finish the campaign (default)",
-    )
-    fail_mode.add_argument(
         "--strict", dest="failure_mode", action="store_const",
-        const="strict",
+        const="strict", default=None,
         help="abort the campaign on the first permanently failed sweep "
-        "job (completed records stay in the result cache)",
+        "job (completed records stay in the result cache; default: "
+        "record it as a failed record and finish the campaign)",
     )
-    run_p.set_defaults(failure_mode=None)
     run_p.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="write a Prometheus text-format metrics snapshot here "
@@ -173,11 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--events-out", default=None, metavar="PATH",
         help="append campaign progress events (JSONL) to PATH",
-    )
-    run_p.add_argument(
-        "--live", action="store_true",
-        help="single-line live campaign status on stderr (TTY only; "
-        "silent when stderr is redirected)",
     )
     run_p.add_argument(
         "--progress-every", type=int, default=None, metavar="N",
@@ -200,7 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume a checkpointed campaign from the store: finished "
         "jobs are skipped, only the remainder is simulated",
     )
-    _add_engine_flags(run_p)
+    _add_engine_flag(run_p)
+    run_p.add_argument(
+        "--no-result-cache", action="store_true",
+        help="recompute every sweep job even when a cached result "
+        "exists under <cache-dir>/results/",
+    )
 
     sim_p = sub.add_parser("simulate", help="run one ad-hoc simulation")
     sim_p.add_argument("workload", help="workload kind (see 'workloads')")
@@ -240,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--manifest", default=None, metavar="PATH",
         help="write a run manifest (JSON) to PATH",
     )
-    _add_engine_flags(sim_p)
+    _add_engine_flag(sim_p)
 
     trace_p = sub.add_parser(
         "trace",
@@ -297,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-ascii", action="store_true",
         help="skip the terminal timeline rendering",
     )
-    _add_engine_flags(trace_p)
+    _add_engine_flag(trace_p)
 
     prof_p = sub.add_parser(
         "profile", help="locality characterization of a workload"
@@ -309,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--capacities", default="64,256,1024",
         help="comma-separated HBM sizes for the miss-ratio curve",
     )
-    prof_p.add_argument("--window", type=int, default=512)
     prof_p.add_argument(
         "--param", action="append", default=[], metavar="KEY=VALUE",
         help="workload generator parameter (repeatable)",
@@ -339,11 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, default=0.25, metavar="FRACTION",
         help="allowed relative drop for gated speedup metrics "
         "(default: 0.25 = 25%%)",
-    )
-    diff_p.add_argument(
-        "--overhead-band", type=float, default=0.05, metavar="FRACTION",
-        help="allowed absolute rise for gated overhead fractions "
-        "(default: 0.05)",
     )
 
     cache_p = sub.add_parser(
@@ -375,18 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=ENGINE_CHOICES, default="auto",
         help="simulator engine: 'auto' dispatches eligible configs whose "
         "working set fits in HBM to the vectorized fast engine and the "
         "rest to the reference engine, 'reference'/'fast' force one "
         "(default: auto)",
-    )
-    parser.add_argument(
-        "--no-result-cache", action="store_true",
-        help="recompute every sweep job even when a cached result "
-        "exists under <cache-dir>/results/",
     )
 
 
@@ -423,6 +396,28 @@ def _cmd_workloads() -> int:
     return 0
 
 
+def _run_args_error(args: argparse.Namespace) -> str | None:
+    """The first invalid ``repro run`` value as ``bad --<flag>: ...``,
+    or None. Checked before any process-wide default is set, so a
+    rejected command leaves the process exactly as it found it."""
+    from .store import parse_store_uri
+
+    if args.retries is not None and args.retries < 0:
+        return f"bad --retries: must be >= 0, got {args.retries}"
+    if args.progress_every is not None and args.progress_every < 1:
+        return f"bad --progress-every: must be >= 1, got {args.progress_every}"
+    for flag, check, value in (
+        ("--shard", parse_shard, args.shard),
+        ("--store", parse_store_uri, args.store),
+    ):
+        if value:
+            try:
+                check(value)
+            except ValueError as exc:
+                return f"bad {flag}: {exc}"
+    return None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.resume is not None and args.ids:
         print(
@@ -434,10 +429,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.resume is None and not args.ids:
         print("run needs experiment ids (or --resume)", file=sys.stderr)
         return 2
-    try:
-        parse_shard(args.shard)
-    except ValueError as exc:
-        print(f"bad --shard: {exc}", file=sys.stderr)
+    error = _run_args_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
     ids = experiment_ids() if args.ids == ["all"] else args.ids
     unknown = [i for i in ids if i not in EXPERIMENTS]
@@ -461,10 +455,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         exec_overrides["job_timeout"] = args.job_timeout
     if args.failure_mode is not None:
         exec_overrides["failure_mode"] = args.failure_mode
-    if args.retry_backoff is not None:
-        exec_overrides["retry_backoff_s"] = args.retry_backoff
-    if args.max_pool_rebuilds is not None:
-        exec_overrides["max_pool_rebuilds"] = args.max_pool_rebuilds
     if args.shard is not None:
         exec_overrides["shard"] = args.shard
     tele_overrides = {}
@@ -472,8 +462,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         tele_overrides["metrics_out"] = args.metrics_out
     if args.events_out is not None:
         tele_overrides["events_out"] = args.events_out
-    if args.live:
-        tele_overrides["live"] = True
     if args.progress_every is not None:
         tele_overrides["progress_every"] = args.progress_every
     prev_engine = set_default_engine(args.engine)
@@ -813,12 +801,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    diff = compare(
-        current,
-        baseline,
-        tolerance=args.tolerance,
-        overhead_band=args.overhead_band,
-    )
+    diff = compare(current, baseline, tolerance=args.tolerance)
     print(format_report(diff))
     if diff.regressions:
         for entry in diff.regressions:
@@ -841,7 +824,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     capacities = [int(c) for c in args.capacities.split(",") if c]
     print(workload)
     for i, trace in enumerate(workload.traces):
-        profile = characterize(trace, capacities=capacities, window=args.window)
+        profile = characterize(trace, capacities=capacities)
         print(f"\n-- thread {i} --")
         print(profile.summary())
     return 0

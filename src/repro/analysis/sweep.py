@@ -15,7 +15,7 @@ names it.
 
 Two further levers make repeated campaigns cheap:
 
-* a persistent **result cache** (:mod:`repro.analysis.resultcache`):
+* a persistent **result store** (:mod:`repro.store`):
   records are pure functions of (spec, config), so a re-run only
   simulates jobs never seen before (enabled whenever ``cache_dir`` is
   given; disable with ``result_cache=False``);
@@ -40,10 +40,8 @@ deterministic fault-injection hooks in :mod:`repro.analysis.faults`.
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 import os
-import queue
 import signal
 import threading
 import time
@@ -225,11 +223,13 @@ def _job_deadline(seconds: float | None) -> Iterator[None]:
             )
 
 
-#: default for how many times one campaign may rebuild a broken process
-#: pool before declaring the still-lost jobs failed (guards against a
-#: fault that kills every worker on every attempt); the live value comes
-#: from :func:`set_execution_defaults` / the runner argument.
+#: how many times one campaign may rebuild a broken process pool before
+#: declaring the still-lost jobs failed (guards against a fault that
+#: kills every worker on every attempt)
 _MAX_POOL_REBUILDS = 3
+
+#: pause before the first retry of a failed job, doubled per attempt
+_RETRY_BACKOFF_S = 0.05
 
 #: process-wide execution-policy defaults; per-runner arguments override.
 _UNSET = object()
@@ -237,8 +237,6 @@ _EXECUTION_DEFAULTS: dict[str, Any] = {
     "retries": 1,
     "job_timeout": None,
     "failure_mode": "keep_going",
-    "retry_backoff_s": 0.05,
-    "max_pool_rebuilds": _MAX_POOL_REBUILDS,
     "shard": None,
 }
 
@@ -278,27 +276,25 @@ def set_execution_defaults(
     retries: Any = _UNSET,
     job_timeout: Any = _UNSET,
     failure_mode: Any = _UNSET,
-    retry_backoff_s: Any = _UNSET,
-    max_pool_rebuilds: Any = _UNSET,
     shard: Any = _UNSET,
 ) -> dict[str, Any]:
     """Set process-wide fault-tolerance defaults; returns the old ones.
 
-    Used by the CLI's ``--retries`` / ``--job-timeout`` /
-    ``--strict`` / ``--keep-going`` / ``--retry-backoff`` /
-    ``--max-pool-rebuilds`` flags (the experiment registry's
+    Used by the CLI's ``--retries`` / ``--job-timeout`` / ``--strict`` /
+    ``--shard`` flags (the experiment registry's
     ``(scale, processes, cache_dir, seed)`` signature has no room for
     them); individual :class:`SweepRunner` s can still override via
-    constructor arguments. Restore with
-    ``set_execution_defaults(**previous)``.
+    constructor arguments. Every value is validated before any is
+    stored, so a rejected call leaves the defaults as they were.
+    Restore with ``set_execution_defaults(**previous)``.
     """
-    previous = dict(_EXECUTION_DEFAULTS)
+    updates: dict[str, Any] = {}
     if retries is not _UNSET:
         if retries is None or int(retries) < 0:
             raise ValueError(f"retries must be a non-negative int, got {retries!r}")
-        _EXECUTION_DEFAULTS["retries"] = int(retries)
+        updates["retries"] = int(retries)
     if job_timeout is not _UNSET:
-        _EXECUTION_DEFAULTS["job_timeout"] = (
+        updates["job_timeout"] = (
             float(job_timeout) if job_timeout is not None else None
         )
     if failure_mode is not _UNSET:
@@ -306,18 +302,11 @@ def set_execution_defaults(
             raise ValueError(
                 f"failure_mode must be one of {_FAILURE_MODES}, got {failure_mode!r}"
             )
-        _EXECUTION_DEFAULTS["failure_mode"] = failure_mode
-    if retry_backoff_s is not _UNSET:
-        _EXECUTION_DEFAULTS["retry_backoff_s"] = float(retry_backoff_s)
-    if max_pool_rebuilds is not _UNSET:
-        if max_pool_rebuilds is None or int(max_pool_rebuilds) < 0:
-            raise ValueError(
-                "max_pool_rebuilds must be a non-negative int, "
-                f"got {max_pool_rebuilds!r}"
-            )
-        _EXECUTION_DEFAULTS["max_pool_rebuilds"] = int(max_pool_rebuilds)
+        updates["failure_mode"] = failure_mode
     if shard is not _UNSET:
-        _EXECUTION_DEFAULTS["shard"] = parse_shard(shard)
+        updates["shard"] = parse_shard(shard)
+    previous = dict(_EXECUTION_DEFAULTS)
+    _EXECUTION_DEFAULTS.update(updates)
     return previous
 
 
@@ -363,7 +352,7 @@ class PayloadRequest:
       at ``probe_stride``, its samples stored as flat dicts.
 
     The request is part of the result-cache key (see
-    :func:`repro.analysis.resultcache.sweep_result_key`), so slim and
+    :func:`repro.store.sweep_result_key`), so slim and
     fat records of the same (spec, config) never collide; an empty
     request leaves the key unchanged from the slim-era format, keeping
     existing caches warm.
@@ -1156,7 +1145,7 @@ class SweepRunner:
 
     ``retries``
         Retry attempts per job after its first failure (exponential
-        backoff starting at ``retry_backoff_s``).
+        backoff starting at 0.05 s).
     ``job_timeout``
         Per-attempt deadline in seconds (``None``/``<=0`` disables);
         an overrun fails the attempt with a ``"timeout"`` error.
@@ -1169,7 +1158,7 @@ class SweepRunner:
 
     A dead worker process (``BrokenProcessPool``) never aborts the
     campaign: the pool is rebuilt and only the jobs whose futures were
-    lost are resubmitted, up to ``max_pool_rebuilds`` times.
+    lost are resubmitted, up to three times per campaign.
 
     Every cache-miss job runs as its own attempt through
     :func:`_run_job`, in process or in a pool worker, and the engine
@@ -1185,8 +1174,6 @@ class SweepRunner:
         retries: int | None = None,
         job_timeout: float | None = None,
         failure_mode: str | None = None,
-        retry_backoff_s: float | None = None,
-        max_pool_rebuilds: int | None = None,
         telemetry: CampaignTelemetry | None = None,
         store: "ResultStore | str | None" = None,
         shard: str | tuple[int, int] | None = None,
@@ -1217,20 +1204,6 @@ class SweepRunner:
             raise ValueError(
                 f"failure_mode must be one of {_FAILURE_MODES}, "
                 f"got {self.failure_mode!r}"
-            )
-        self.retry_backoff_s = (
-            float(retry_backoff_s)
-            if retry_backoff_s is not None
-            else defaults["retry_backoff_s"]
-        )
-        self.max_pool_rebuilds = (
-            int(max_pool_rebuilds)
-            if max_pool_rebuilds is not None
-            else defaults["max_pool_rebuilds"]
-        )
-        if self.max_pool_rebuilds < 0:
-            raise ValueError(
-                f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds}"
             )
         #: explicit telemetry sink; ``None`` resolves the process-wide
         #: default (see :func:`repro.analysis.telemetry.default_telemetry`)
@@ -1270,24 +1243,17 @@ class SweepRunner:
             return None
         return DirectoryStore(Path(self.cache_dir) / "results")
 
-    # kept for callers/tests that knew the pre-store name
-    _result_cache = _open_store
-
     def run(
         self,
         jobs: Sequence[SweepJob],
         label: str = "",
-        on_record: Any = None,
         meta: Mapping[str, Any] | None = None,
     ) -> list[SweepRecord]:
         """Execute ``jobs``, returning one record per job.
 
-        ``on_record`` is an optional callable invoked with each
-        :class:`SweepRecord` as it lands (cache hits first, then
-        completions in finish order) — the hook :meth:`stream` and
-        :meth:`astream` are built on. ``meta`` is stored in the campaign
-        checkpoint for resuming processes (the CLI records the
-        experiment id, scale, and seed there).
+        ``meta`` is stored in the campaign checkpoint for resuming
+        processes (the CLI records the experiment id, scale, and seed
+        there).
 
         In shard mode the returned list covers only this shard's
         partition of the job list (plus none of the jobs another live
@@ -1306,84 +1272,17 @@ class SweepRunner:
             set_active_registry(tele.registry) if tele is not None else None
         )
         try:
-            return self._run_campaign(jobs, label, tele, on_record, meta)
+            return self._run_campaign(jobs, label, tele, meta)
         finally:
             if tele is not None:
                 set_active_registry(previous_registry)
             self._tele = None
-
-    def stream(
-        self,
-        jobs: Sequence[SweepJob],
-        label: str = "",
-        meta: Mapping[str, Any] | None = None,
-    ) -> Iterator[SweepRecord]:
-        """Yield records as they land instead of waiting for the end.
-
-        The campaign runs in a background thread; cache hits arrive
-        first, then fresh completions in finish order. The generator
-        re-raises any campaign failure (e.g. :class:`SweepFailure` in
-        strict mode) after draining the records that preceded it.
-        ``last_campaign`` is populated once the stream is exhausted.
-        """
-        out: queue.Queue[Any] = queue.Queue()
-        sentinel = object()
-        failure: list[BaseException] = []
-
-        def _drive() -> None:
-            try:
-                self.run(jobs, label=label, on_record=out.put, meta=meta)
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                failure.append(exc)
-            finally:
-                out.put(sentinel)
-
-        thread = threading.Thread(
-            target=_drive, name="sweep-stream", daemon=True
-        )
-        thread.start()
-        try:
-            while True:
-                item = out.get()
-                if item is sentinel:
-                    break
-                yield item
-        finally:
-            thread.join()
-            if failure:
-                raise failure[0]
-
-    async def arun(
-        self,
-        jobs: Sequence[SweepJob],
-        label: str = "",
-        meta: Mapping[str, Any] | None = None,
-    ) -> list[SweepRecord]:
-        """Async :meth:`run`: await the campaign without blocking the
-        event loop (execution itself stays in worker processes)."""
-        return await asyncio.to_thread(self.run, jobs, label, None, meta)
-
-    async def astream(
-        self,
-        jobs: Sequence[SweepJob],
-        label: str = "",
-        meta: Mapping[str, Any] | None = None,
-    ) -> Any:
-        """Async :meth:`stream`: ``async for record in runner.astream(...)``."""
-        records = self.stream(jobs, label=label, meta=meta)
-        sentinel = object()
-        while True:
-            item = await asyncio.to_thread(next, records, sentinel)
-            if item is sentinel:
-                return
-            yield item
 
     def _run_campaign(
         self,
         jobs: Sequence[SweepJob],
         label: str,
         tele: CampaignTelemetry | None,
-        on_record: Any = None,
         meta: Mapping[str, Any] | None = None,
     ) -> list[SweepRecord]:
         campaign_start = time.perf_counter()
@@ -1535,10 +1434,6 @@ class SweepRunner:
                 cache_stats["entries"],
                 cache_stats["bytes"],
             )
-        if on_record is not None:
-            for idx in visible:
-                if records[idx] is not None:
-                    on_record(records[idx])
 
         def _store(idx: int, record: SweepRecord, manifest: dict[str, Any]) -> None:
             # The piggybacked telemetry rides transient manifest keys;
@@ -1564,8 +1459,6 @@ class SweepRunner:
                         cache.release(campaign_id, keys[idx])
             if tele is not None:
                 tele.job_done(record, worker_metrics, forwarded)
-            if on_record is not None:
-                on_record(record)
             # Fault-injection point: the parent dies only after the
             # record is durably stored and marked done, which is the
             # contract resume relies on (see docs/ROBUSTNESS.md).
@@ -1607,8 +1500,6 @@ class SweepRunner:
                 cache.release(campaign_id, keys[idx])
             if tele is not None:
                 tele.job_done(records[idx])
-            if on_record is not None:
-                on_record(records[idx])
 
         if pending:
             if self.processes <= 1 or len(pending) == 1:
@@ -1649,7 +1540,7 @@ class SweepRunner:
 
     def _backoff_s(self, attempt: int) -> float:
         """Delay before retrying after a failed ``attempt`` (1-based)."""
-        return self.retry_backoff_s * (2 ** (attempt - 1))
+        return _RETRY_BACKOFF_S * (2 ** (attempt - 1))
 
     def _log_retry(self, job: SweepJob, error: SweepError, delay: float) -> None:
         log.warning(
@@ -1793,7 +1684,7 @@ class SweepRunner:
             counters["rebuilds"] += 1
             if self._tele is not None:
                 self._tele.pool_rebuilt()
-            if counters["rebuilds"] > self.max_pool_rebuilds:
+            if counters["rebuilds"] > _MAX_POOL_REBUILDS:
                 log.error(
                     "process pool died %d times; failing %d unrecovered jobs",
                     counters["rebuilds"],
@@ -1807,7 +1698,7 @@ class SweepRunner:
                             error_type="BrokenProcessPool",
                             message=(
                                 "worker process died and the pool-rebuild "
-                                f"budget ({self.max_pool_rebuilds}) is exhausted"
+                                f"budget ({_MAX_POOL_REBUILDS}) is exhausted"
                             ),
                             attempts=attempt,
                         ),
@@ -1818,7 +1709,7 @@ class SweepRunner:
                 "worker process died; rebuilding pool (%d/%d) and "
                 "resubmitting %d lost jobs",
                 counters["rebuilds"],
-                self.max_pool_rebuilds,
+                _MAX_POOL_REBUILDS,
                 len(lost),
             )
             pool = self._make_pool(workers)
@@ -1856,16 +1747,9 @@ class SweepRunner:
                     if retry_heap
                     else None
                 )
-                if self._tele is not None:
-                    # Wake at least once a second so the live status
-                    # line and heartbeat view stay fresh while workers
-                    # grind through long jobs.
-                    timeout = 1.0 if timeout is None else min(timeout, 1.0)
                 finished, _ = wait(
                     set(futures), timeout=timeout, return_when=FIRST_COMPLETED
                 )
-                if self._tele is not None:
-                    self._tele.tick()
                 broken = False
                 for future in finished:
                     idx, attempt = futures.pop(future)
@@ -1897,11 +1781,6 @@ def run_sweep(
     cache_dir: str | os.PathLike | None = None,
     engine: str | None = None,
     result_cache: bool | None = None,
-    retries: int | None = None,
-    job_timeout: float | None = None,
-    failure_mode: str | None = None,
-    retry_backoff_s: float | None = None,
-    max_pool_rebuilds: int | None = None,
 ) -> list[SweepRecord]:
     """One-call sweep execution."""
     return SweepRunner(
@@ -1909,9 +1788,4 @@ def run_sweep(
         cache_dir=cache_dir,
         engine=engine,
         result_cache=result_cache,
-        retries=retries,
-        job_timeout=job_timeout,
-        failure_mode=failure_mode,
-        retry_backoff_s=retry_backoff_s,
-        max_pool_rebuilds=max_pool_rebuilds,
     ).run(jobs)

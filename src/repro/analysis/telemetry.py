@@ -1,11 +1,11 @@
-"""Live campaign telemetry: metrics aggregation, event stream, TTY status.
+"""Live campaign telemetry: metrics aggregation and the event stream.
 
 :class:`CampaignTelemetry` is the parent-side sink the
 :class:`~repro.analysis.SweepRunner` drives while a campaign executes.
 It aggregates the per-job metric snapshots piggybacked on worker
 outcomes (see :mod:`repro.obs.metrics`) into one live
 :class:`~repro.obs.metrics.MetricsRegistry` and exposes the campaign
-three ways:
+two ways:
 
 * **JSONL event stream** (``events_out``): one ``campaign.start``
   event, a ``campaign.progress`` event every ``progress_every``
@@ -16,9 +16,6 @@ three ways:
 * **Prometheus snapshot** (``metrics_out``): the registry rendered in
   text exposition format, rewritten atomically on every progress event
   and at campaign end, ready for a node-exporter-style scrape.
-* **Live single-line TTY status** (``live=True``): a ``\\r``-rewritten
-  one-liner on stderr, automatically silent when the stream is not a
-  terminal (CI logs never fill with control characters).
 
 Telemetry is strictly observational: enabling any output changes no
 :class:`~repro.analysis.SweepRecord`, manifest, or result-cache entry
@@ -31,7 +28,7 @@ death, so the parent can always tell a stuck job from a dead worker.
 
 Process-wide defaults mirror the execution-policy pattern in
 :mod:`repro.analysis.sweep`: the CLI's ``--metrics-out`` /
-``--events-out`` / ``--live`` / ``--progress-every`` flags call
+``--events-out`` / ``--progress-every`` flags call
 :func:`set_telemetry_defaults`, and every runner constructed without an
 explicit ``telemetry`` argument shares one process-global sink (so
 ``repro run all`` folds every experiment's campaign into one stream and
@@ -43,12 +40,11 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import sys
 import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import IO, Any, Mapping
+from typing import Any, Mapping
 
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, write_prom
@@ -65,29 +61,21 @@ __all__ = [
 log = get_logger("telemetry")
 
 #: how often a worker rewrites its heartbeat file while a job runs
-#: (override with REPRO_HEARTBEAT_S)
-HEARTBEAT_INTERVAL_S = float(os.environ.get("REPRO_HEARTBEAT_S", "5.0"))
+HEARTBEAT_INTERVAL_S = 5.0
 
 #: event stream schema tag (bump on incompatible change).
 #: v2 added the campaign-durability fields (``resumed``, ``shard``,
-#: ``campaign_id``, ``store``) to start/end events; v1 streams differ
-#: only by their absence and stay readable (see
-#: :func:`iter_campaign_events`).
+#: ``campaign_id``, ``store``) to start/end events.
 EVENT_SCHEMA = "repro.campaign.events/v2"
-
-#: schema tags :func:`iter_campaign_events` accepts
-_READABLE_SCHEMAS = ("repro.campaign.events/v1", EVENT_SCHEMA)
 
 
 def iter_campaign_events(path: str | os.PathLike) -> "Any":
     """Yield parsed events from a campaign JSONL stream.
 
-    Accepts both the v1 and v2 schemas; v1 events are upgraded in place
-    by filling the v2-only fields with their quiet defaults (``resumed``
-    0, ``shard``/``campaign_id``/``store`` empty) on start/end events.
     Blank and truncated lines are skipped (the stream is append-only
-    and may be mid-write); an event with an unknown schema tag raises
-    ``ValueError`` rather than being misread.
+    and may be mid-write); an event with any schema tag but
+    :data:`EVENT_SCHEMA` raises ``ValueError`` rather than being
+    misread.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -99,16 +87,10 @@ def iter_campaign_events(path: str | os.PathLike) -> "Any":
             except ValueError:
                 continue  # torn final line of a live stream
             schema = event.get("schema", "")
-            if schema not in _READABLE_SCHEMAS:
+            if schema != EVENT_SCHEMA:
                 raise ValueError(
                     f"unknown campaign event schema {schema!r} in {path}"
                 )
-            if event.get("event") in ("campaign.start", "campaign.end"):
-                event.setdefault("resumed", 0)
-                event.setdefault("shard", "")
-                if event.get("event") == "campaign.end":
-                    event.setdefault("campaign_id", "")
-                    event.setdefault("store", "")
             yield event
 
 _UNSET = object()
@@ -116,7 +98,6 @@ _UNSET = object()
 _TELEMETRY_DEFAULTS: dict[str, Any] = {
     "metrics_out": None,
     "events_out": None,
-    "live": False,
     "progress_every": 1,
 }
 
@@ -126,7 +107,6 @@ _GLOBAL: "CampaignTelemetry | None" = None
 def set_telemetry_defaults(
     metrics_out: Any = _UNSET,
     events_out: Any = _UNSET,
-    live: Any = _UNSET,
     progress_every: Any = _UNSET,
 ) -> dict[str, Any]:
     """Set process-wide telemetry defaults; returns the old ones.
@@ -150,8 +130,6 @@ def set_telemetry_defaults(
         _TELEMETRY_DEFAULTS["events_out"] = (
             str(events_out) if events_out is not None else None
         )
-    if live is not _UNSET:
-        _TELEMETRY_DEFAULTS["live"] = bool(live)
     if progress_every is not _UNSET:
         _TELEMETRY_DEFAULTS["progress_every"] = int(progress_every)
     if _GLOBAL is not None:
@@ -165,13 +143,12 @@ def default_telemetry() -> "CampaignTelemetry | None":
     no output is enabled — the runner then skips every telemetry hook)."""
     global _GLOBAL
     d = _TELEMETRY_DEFAULTS
-    if not (d["metrics_out"] or d["events_out"] or d["live"]):
+    if not (d["metrics_out"] or d["events_out"]):
         return None
     if _GLOBAL is None:
         _GLOBAL = CampaignTelemetry(
             metrics_out=d["metrics_out"],
             events_out=d["events_out"],
-            live=d["live"],
             progress_every=d["progress_every"],
         )
     return _GLOBAL
@@ -248,30 +225,20 @@ class HeartbeatWriter:
 
 
 class CampaignTelemetry:
-    """One telemetry sink, reusable across sequential campaigns.
-
-    ``stream`` (default ``sys.stderr``) carries the live status line;
-    it is only written when ``live`` is set *and* the stream is a TTY.
-    """
+    """One telemetry sink, reusable across sequential campaigns."""
 
     def __init__(
         self,
         metrics_out: str | os.PathLike | None = None,
         events_out: str | os.PathLike | None = None,
-        live: bool = False,
         progress_every: int = 1,
-        stream: IO[str] | None = None,
     ) -> None:
         self.registry = MetricsRegistry()
         self.metrics_out = Path(metrics_out) if metrics_out is not None else None
         self.events_out = Path(events_out) if events_out is not None else None
         self.progress_every = max(1, int(progress_every))
-        self._stream = stream if stream is not None else sys.stderr
-        self._live = bool(live) and self._is_tty(self._stream)
         self._seq = 0
         self._spool_dir: Path | None = None
-        self._live_dirty = False
-        self._last_live_write = 0.0
         # per-campaign state (reset by campaign_start)
         self._label = ""
         self._total = 0
@@ -280,13 +247,6 @@ class CampaignTelemetry:
         self._failed = 0
         self._cache_hits = 0
         self._started = 0.0
-
-    @staticmethod
-    def _is_tty(stream: IO[str]) -> bool:
-        try:
-            return bool(stream.isatty())
-        except (AttributeError, ValueError):
-            return False
 
     # -- heartbeat spool -----------------------------------------------
 
@@ -405,8 +365,6 @@ class CampaignTelemetry:
                 "shard": shard,
             },
         )
-        self._live_dirty = True
-        self.tick(force=True)
 
     def _elapsed(self) -> float:
         return time.perf_counter() - self._started
@@ -464,8 +422,6 @@ class CampaignTelemetry:
         self._update_rates()
         if self._done % self.progress_every == 0 or self._done >= self._pending:
             self.emit_progress()
-        self._live_dirty = True
-        self.tick()
 
     def job_retried(self) -> None:
         self.registry.counter(
@@ -538,64 +494,15 @@ class CampaignTelemetry:
             },
         )
         self._write_metrics()
-        self._clear_live_line()
 
     def flush(self) -> None:
         """Rewrite the Prometheus snapshot now (e.g. after a reduce step
         recorded phases past the campaign's own final write)."""
         self._write_metrics()
 
-    # -- live status line -----------------------------------------------
-
-    def tick(self, force: bool = False) -> None:
-        """Refresh the live line (rate-limited; call freely from loops)."""
-        if not self._live:
-            return
-        now = time.perf_counter()
-        if not force and (
-            not self._live_dirty and now - self._last_live_write < 1.0
-        ):
-            return
-        if not force and now - self._last_live_write < 0.1:
-            return
-        self._last_live_write = now
-        self._live_dirty = False
-        rate = self._rate()
-        eta = self._eta_s()
-        parts = [
-            f"[{self._label or 'campaign'}]",
-            f"{self._done}/{self._pending} jobs",
-            f"{self._cache_hits} cached",
-        ]
-        if self._failed:
-            parts.append(f"{self._failed} failed")
-        parts.append(f"{rate:.2f} jobs/s")
-        if eta is not None and self._done < self._pending:
-            parts.append(f"eta {eta:.0f}s")
-        inflight = self.scan_inflight()
-        if inflight:
-            oldest = max(b.get("elapsed_s", 0.0) for b in inflight)
-            parts.append(f"{len(inflight)} in flight (oldest {oldest:.0f}s)")
-        line = "  ".join(parts)
-        try:
-            self._stream.write("\r\x1b[2K" + line[:200])
-            self._stream.flush()
-        except (OSError, ValueError):
-            self._live = False
-
-    def _clear_live_line(self) -> None:
-        if not self._live:
-            return
-        try:
-            self._stream.write("\r\x1b[2K")
-            self._stream.flush()
-        except (OSError, ValueError):
-            self._live = False
-
     def close(self) -> None:
         """Remove the heartbeat spool; the sink stays usable afterwards
         (a new spool is created on demand)."""
-        self._clear_live_line()
         if self._spool_dir is not None:
             shutil.rmtree(self._spool_dir, ignore_errors=True)
             self._spool_dir = None

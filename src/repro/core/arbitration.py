@@ -280,10 +280,7 @@ class _PriorityDrainPlan(DrainPlan):
     final ranks, advances ``remap_count`` in bulk, and syncs the live
     rng to the clone; discarding the plan rolls everything back for
     free because the policy was never touched. Without ``cross_period``
-    the plan is only valid while ranks are fixed, and the caller must
-    cap ``horizon`` at the next remap boundary (legacy behavior kept
-    for subclasses that override ``_permute`` rather than
-    ``_permute_ranks``).
+    (no remap period) ranks never change.
     """
 
     __slots__ = (
@@ -694,7 +691,6 @@ class PriorityArbitration(ArbitrationPolicy):
         self._waiting: set[int] = set()
         self._heap: list[tuple[int, int]] = []
         self.remap_count = 0
-        self._last_tick = 0
 
     def __len__(self) -> int:
         return len(self._waiting)
@@ -717,7 +713,6 @@ class PriorityArbitration(ArbitrationPolicy):
         return granted
 
     def begin_tick(self, tick: int) -> None:
-        self._last_tick = tick
         period = self.remap_period
         if period is not None and tick % period == 0:
             self.remap()
@@ -730,27 +725,10 @@ class PriorityArbitration(ArbitrationPolicy):
             first = (start // period + 1) * period
             for _tau in range(first, end, period):
                 self.remap()
-        self._last_tick = max(self._last_tick, end - 1)
         return True
 
     def drain_plan(self, limit: int, horizon: int) -> _PriorityDrainPlan:
-        period = self.remap_period
-        cls = type(self)
-        legacy = (
-            cls._permute is not PriorityArbitration._permute
-            and cls._permute_ranks is PriorityArbitration._permute_ranks
-        )
-        if period is not None and legacy:
-            # A subclass still overrides the in-place `_permute` hook
-            # without providing the pure `_permute_ranks`: the plan
-            # cannot replay its remaps, so ranks are only trusted until
-            # the next boundary strictly after the current tick (whose
-            # begin_tick, including any remap, has already run).
-            boundary = (self._last_tick // period + 1) * period
-            if boundary < horizon:
-                horizon = boundary
-            return _PriorityDrainPlan(self, horizon)
-        return _PriorityDrainPlan(self, horizon, cross_period=period)
+        return _PriorityDrainPlan(self, horizon, cross_period=self.remap_period)
 
     def remap(self) -> None:
         """Permute ranks and rebuild the waiting heap.
@@ -758,14 +736,11 @@ class PriorityArbitration(ArbitrationPolicy):
         Static Priority keeps the identity permutation; subclasses
         override :meth:`_permute_ranks`.
         """
-        self._permute()
+        self._ranks = self._permute_ranks(self._ranks, self._rng)
         self.remap_count += 1
         ranks = self._ranks
         self._heap = [(int(ranks[t]), t) for t in self._waiting]
         heapq.heapify(self._heap)
-
-    def _permute(self) -> None:
-        self._ranks = self._permute_ranks(self._ranks, self._rng)
 
     def _permute_ranks(
         self, ranks: np.ndarray, rng: np.random.Generator
@@ -775,8 +750,7 @@ class PriorityArbitration(ArbitrationPolicy):
         Must not mutate ``ranks`` and must draw randomness only from
         ``rng`` — this is what lets drain plans replay remaps on a
         copy (cross-remap planning). Static Priority is the identity;
-        subclasses override this (not ``_permute``) to stay plannable
-        across boundaries.
+        subclasses override this.
         """
         return ranks
 

@@ -167,7 +167,7 @@ def _attempt_fast_forward(
     # references that are certain misses (non-resident at entry, no
     # repeats within the window). The scan is capped for work-bounding
     # and by the plan's own horizon (cross-remap plans stretch to
-    # max_ticks; legacy plans stop at the next remap boundary).
+    # max_ticks).
     scan_cap = drain.WINDOW_CAP
     if plan.horizon < drain.UNBOUNDED:
         span = plan.horizon - t

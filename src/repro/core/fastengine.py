@@ -391,7 +391,7 @@ def _attempt_fast_forward(
     # is bad if resident at entry or a repeat of an earlier window
     # reference; the window ends at the first bad position. The scan is
     # bounded by the plan's own horizon (cross-remap plans stretch to
-    # max_ticks; legacy plans stop at the next remap boundary).
+    # max_ticks).
     full_cap = drain.WINDOW_CAP
     if plan.horizon < drain.UNBOUNDED:
         span = plan.horizon - t

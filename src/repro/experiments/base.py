@@ -42,7 +42,6 @@ layout the CLI's ``--save`` flag writes.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 from dataclasses import dataclass, field
@@ -361,24 +360,6 @@ class Campaign:
             text=text,
             checks=reduction.checks,
             data=data,
-        )
-
-    async def arun(
-        self,
-        scale: str = "smoke",
-        processes: int | None = None,
-        cache_dir=None,
-        seed: int = 0,
-    ) -> ExperimentOutput:
-        """Async :meth:`run`: ``await campaign.arun(...)``.
-
-        The campaign executes in a worker thread (simulation itself is
-        already in pool processes), so an event loop can drive several
-        campaigns — or a campaign plus a UI — concurrently. Semantics
-        and outputs are identical to :meth:`run`.
-        """
-        return await asyncio.to_thread(
-            self.run, scale, processes, cache_dir, seed
         )
 
     def __call__(

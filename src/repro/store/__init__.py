@@ -1,11 +1,11 @@
 """Pluggable result stores for sweep campaigns.
 
-The package splits the historical ``repro.analysis.resultcache`` module
-into a backend protocol (:class:`ResultStore`), the default
-local-directory backend (:class:`DirectoryStore` — format-compatible
-with the old ``ResultCache``), and a SQLite/WAL backend
+A backend protocol (:class:`ResultStore`), the default local-directory
+backend (:class:`DirectoryStore`: one ``<key>.json`` file per entry,
+the layout every earlier result cache used), and a SQLite/WAL backend
 (:class:`SQLiteStore`) for N concurrent campaign processes sharing one
-store. ``repro.analysis.resultcache`` remains as a compatibility shim.
+store. :func:`sweep_result_key` is the content hash every backend keys
+entries by.
 """
 
 from .base import (

@@ -65,16 +65,9 @@ STORE_ENV = "REPRO_STORE"
 #: bump when the checkpoint layout changes incompatibly
 CHECKPOINT_SCHEMA = "repro.store.campaign/v1"
 
-#: seconds a job lease stays valid without renewal (override with
-#: REPRO_LEASE_TTL_S); expired leases may be re-claimed by anyone
-DEFAULT_LEASE_TTL_S = 600.0
-
-
-def lease_ttl_s() -> float:
-    try:
-        return float(os.environ.get("REPRO_LEASE_TTL_S", DEFAULT_LEASE_TTL_S))
-    except ValueError:
-        return DEFAULT_LEASE_TTL_S
+#: seconds a job lease stays valid without renewal; expired leases may
+#: be re-claimed by anyone
+LEASE_TTL_S = 600.0
 
 
 def sweep_result_key(workload_spec, config, payload=None) -> str:

@@ -33,11 +33,11 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .base import (
+    LEASE_TTL_S,
     CampaignCheckpoint,
     ResultStore,
     lease_is_stale,
     lease_owner,
-    lease_ttl_s,
 )
 
 __all__ = ["DirectoryStore"]
@@ -191,7 +191,7 @@ class DirectoryStore(ResultStore):
             return False
         path = self._lease_path(campaign_id, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        ttl = lease_ttl_s() if ttl_s is None else float(ttl_s)
+        ttl = LEASE_TTL_S if ttl_s is None else float(ttl_s)
         doc = {**lease_owner(), "expires": time.time() + ttl}
         blob = json.dumps(doc)
         try:

@@ -34,11 +34,11 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .base import (
+    LEASE_TTL_S,
     CampaignCheckpoint,
     ResultStore,
     lease_is_stale,
     lease_owner,
-    lease_ttl_s,
 )
 
 __all__ = ["SQLiteStore"]
@@ -274,7 +274,7 @@ class SQLiteStore(ResultStore):
     def claim(
         self, campaign_id: str, key: str, ttl_s: float | None = None
     ) -> bool:
-        ttl = lease_ttl_s() if ttl_s is None else float(ttl_s)
+        ttl = LEASE_TTL_S if ttl_s is None else float(ttl_s)
         me = lease_owner()
         with self._lock:
             conn = self._connection()

@@ -197,7 +197,7 @@ class WorkloadCache:
             return workload
         workload = make_workload(kind, threads, seed=seed, **params)
         self.directory.mkdir(parents=True, exist_ok=True)
-        # pid-suffixed temp name (matching ResultCache.put): two
+        # pid-suffixed temp name (matching DirectoryStore.put): two
         # processes generating the same workload concurrently must not
         # clobber each other's half-written temp file; both finish with
         # an atomic os.replace onto the final name.

@@ -278,22 +278,112 @@ class TestTelemetryFlags:
         capsys.readouterr()
         assert default_telemetry() is None  # CLI flags did not leak
 
-    def test_progress_every_validated(self, tmp_path):
-        import pytest as _pytest
+    def test_progress_every_validated(self, tmp_path, capsys):
+        code = main(
+            [
+                "run",
+                "thm4",
+                "--scale",
+                "smoke",
+                "--progress-every",
+                "0",
+                "--metrics-out",
+                str(tmp_path / "m.prom"),
+            ]
+        )
+        assert code == 2
+        assert "bad --progress-every" in capsys.readouterr().err
 
-        with _pytest.raises(ValueError):
-            main(
-                [
-                    "run",
-                    "thm4",
-                    "--scale",
-                    "smoke",
-                    "--progress-every",
-                    "0",
-                    "--metrics-out",
-                    str(tmp_path / "m.prom"),
-                ]
-            )
+
+class TestRunValidation:
+    """Invalid ``repro run`` values exit 2 with one line naming the flag,
+    before any process-wide default is touched."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--retries", "-1"),
+            ("--progress-every", "0"),
+            ("--store", "bogus:x"),
+            ("--shard", "3/2"),
+        ],
+    )
+    def test_bad_value_exits_2_and_leaves_defaults(self, flag, value, capsys):
+        from repro.analysis import sweep as sweep_mod
+        from repro.analysis.telemetry import default_telemetry
+        from repro.core import default_engine
+        from repro.store.base import default_store_uri
+
+        before = (
+            default_engine(),
+            sweep_mod._RESULT_CACHE_DEFAULT,
+            sweep_mod.set_execution_defaults(),
+            default_store_uri(),
+        )
+        code = main(
+            [
+                "run",
+                "thm4",
+                "--engine",
+                "reference",
+                "--no-result-cache",
+                "--strict",
+                "--metrics-out",
+                "never-written.prom",
+                flag,
+                value,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"bad {flag}: ")
+        assert (
+            default_engine(),
+            sweep_mod._RESULT_CACHE_DEFAULT,
+            sweep_mod.set_execution_defaults(),
+            default_store_uri(),
+        ) == before
+        assert default_telemetry() is None
+
+
+class TestRunFaultFlags:
+    """The fault-tolerance flags reach the sweep: with a fault injected
+    into every job, each one changes how the campaign ends."""
+
+    @pytest.fixture(autouse=True)
+    def _first_attempt_raises(self):
+        from repro.analysis import set_fault_plan
+
+        previous = set_fault_plan("raise:*:attempts=1")
+        yield
+        set_fault_plan(previous)
+
+    def _run(self, *flags):
+        return main(["run", "fig3", "--processes", "1", "--strict"] + list(flags))
+
+    def test_default_retry_clears_a_first_attempt_fault(self, capsys):
+        assert self._run() == 0
+
+    def test_retries_0_and_strict_abort_with_exit_3(self, capsys):
+        assert self._run("--retries", "0") == 3
+        assert "aborted (--strict)" in capsys.readouterr().err
+
+    def test_job_timeout_fails_the_attempt(self, capsys):
+        from repro.analysis import set_fault_plan
+
+        set_fault_plan("sleep:*:seconds=5")
+        assert self._run("--retries", "0", "--job-timeout", "0.05") == 3
+        assert "deadline" in capsys.readouterr().err
+
+    def test_no_result_cache_resimulates_a_warm_store(self, tmp_path, capsys):
+        from repro.analysis import set_fault_plan
+
+        cache = ["--cache-dir", str(tmp_path)]
+        set_fault_plan(None)
+        assert self._run(*cache) == 0
+        set_fault_plan("raise:*:attempts=0")
+        assert self._run(*cache) == 0  # every record replays
+        assert self._run(*cache, "--no-result-cache") == 3
 
 
 class TestTraceMergeCommand:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis import (
     CampaignStats,
-    ResultCache,
+    DirectoryStore,
     SweepFailure,
     SweepJob,
     SweepRunner,
@@ -44,8 +44,6 @@ METRIC_FIELDS = (
     "fetches",
     "evictions",
 )
-
-FAST_RETRY = {"retry_backoff_s": 0.01}
 
 
 @pytest.fixture(autouse=True)
@@ -136,7 +134,7 @@ class TestWorkerRaise:
         jobs = demo_jobs()
         baseline = run_sweep(jobs, processes=1)
         set_fault_plan("raise:victim:attempts=0")
-        runner = SweepRunner(processes=processes, retries=1, **FAST_RETRY)
+        runner = SweepRunner(processes=processes, retries=1)
         records = runner.run(jobs)
         assert_matches_baseline(records, baseline, expect_failed={"victim"})
         failed = next(r for r in records if r.failed)
@@ -154,7 +152,7 @@ class TestWorkerRaise:
         jobs = demo_jobs()
         baseline = run_sweep(jobs, processes=1)
         set_fault_plan("raise:victim:attempts=1")
-        runner = SweepRunner(processes=1, retries=1, **FAST_RETRY)
+        runner = SweepRunner(processes=1, retries=1)
         records = runner.run(jobs)
         assert_matches_baseline(records, baseline)  # nothing failed
         stats = runner.last_campaign
@@ -164,9 +162,7 @@ class TestWorkerRaise:
     def test_strict_mode_raises_sweep_failure(self):
         jobs = demo_jobs()
         set_fault_plan("raise:victim:attempts=0")
-        runner = SweepRunner(
-            processes=1, retries=0, failure_mode="strict", **FAST_RETRY
-        )
+        runner = SweepRunner(processes=1, retries=0, failure_mode="strict")
         with pytest.raises(SweepFailure) as excinfo:
             runner.run(jobs)
         assert excinfo.value.job.tag == "victim"
@@ -175,7 +171,7 @@ class TestWorkerRaise:
     def test_failed_record_row_and_zero_metrics(self):
         jobs = demo_jobs()
         set_fault_plan("raise:victim:attempts=0")
-        records = SweepRunner(processes=1, retries=0, **FAST_RETRY).run(jobs)
+        records = SweepRunner(processes=1, retries=0).run(jobs)
         failed = next(r for r in records if r.failed)
         assert failed.makespan == 0 and failed.total_requests == 0
         row = failed.row()
@@ -190,9 +186,7 @@ class TestTimeout:
         jobs = demo_jobs()
         baseline = run_sweep(jobs, processes=1)
         set_fault_plan("sleep:victim:seconds=30,attempts=0")
-        runner = SweepRunner(
-            processes=1, retries=0, job_timeout=0.2, **FAST_RETRY
-        )
+        runner = SweepRunner(processes=1, retries=0, job_timeout=0.2)
         records = runner.run(jobs)
         assert_matches_baseline(records, baseline, expect_failed={"victim"})
         failed = next(r for r in records if r.failed)
@@ -202,9 +196,7 @@ class TestTimeout:
     def test_timeout_in_pool(self):
         jobs = demo_jobs()
         set_fault_plan("sleep:victim:seconds=30,attempts=0")
-        runner = SweepRunner(
-            processes=2, retries=0, job_timeout=0.2, **FAST_RETRY
-        )
+        runner = SweepRunner(processes=2, retries=0, job_timeout=0.2)
         records = runner.run(jobs)
         kinds = [r.error.kind for r in records if r.failed]
         assert kinds == ["timeout"]
@@ -212,9 +204,7 @@ class TestTimeout:
     def test_timeout_retry_succeeds_when_fault_clears(self):
         jobs = demo_jobs()
         set_fault_plan("sleep:victim:seconds=30,attempts=1")
-        runner = SweepRunner(
-            processes=1, retries=1, job_timeout=0.2, **FAST_RETRY
-        )
+        runner = SweepRunner(processes=1, retries=1, job_timeout=0.2)
         records = runner.run(jobs)
         assert not any(r.failed for r in records)
         assert runner.last_campaign.retried == 1
@@ -228,7 +218,7 @@ class TestWorkerKill:
         jobs = demo_jobs()
         baseline = run_sweep(jobs, processes=1)
         set_fault_plan("kill:victim:attempts=1")
-        runner = SweepRunner(processes=2, retries=1, **FAST_RETRY)
+        runner = SweepRunner(processes=2, retries=1)
         records = runner.run(jobs)
         # zero lost records: the campaign completed with every record
         assert_matches_baseline(records, baseline)
@@ -242,7 +232,7 @@ class TestWorkerKill:
 
         jobs = demo_jobs()
         set_fault_plan("kill:victim:attempts=0")  # dies on every attempt
-        runner = SweepRunner(processes=2, retries=1, **FAST_RETRY)
+        runner = SweepRunner(processes=2, retries=1)
         records = runner.run(jobs)
         # The campaign still completes: every record is present. The
         # victim is deterministically failed; innocent jobs in flight
@@ -262,38 +252,34 @@ class TestResultCacheHygiene:
     def test_failed_jobs_never_poison_the_cache(self, tmp_path):
         jobs = demo_jobs()
         set_fault_plan("raise:victim:attempts=0")
-        runner = SweepRunner(
-            processes=1, cache_dir=tmp_path, retries=0, **FAST_RETRY
-        )
+        runner = SweepRunner(processes=1, cache_dir=tmp_path, retries=0)
         records = runner.run(jobs)
         failed = next(r for r in records if r.failed)
         key = sweep_result_key(
             failed.job.workload, failed.job.config, failed.job.payload
         )
-        cache = ResultCache(tmp_path / "results")
+        cache = DirectoryStore(tmp_path / "results")
         assert cache.get(key) is None  # the failure was not cached
         assert len(cache) == len(jobs) - 1  # the successes were
 
         # A fault-free rerun replays the successes and simulates only
         # the previously failed job.
         set_fault_plan(None)
-        runner2 = SweepRunner(processes=1, cache_dir=tmp_path, **FAST_RETRY)
+        runner2 = SweepRunner(processes=1, cache_dir=tmp_path)
         records2 = runner2.run(jobs)
         assert not any(r.failed for r in records2)
         assert runner2.last_campaign.cache_hits == len(jobs) - 1
         assert runner2.last_campaign.simulated == 1
 
     def test_result_cache_put_rejects_failed_payload(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirectoryStore(tmp_path)
         with pytest.raises(ValueError):
             cache.put("abc", {"makespan": 0, "error": {"kind": "exception"}})
 
     def test_cached_entry_records_attempt(self, tmp_path):
         jobs = demo_jobs()
         set_fault_plan("raise:victim:attempts=1")
-        SweepRunner(
-            processes=1, cache_dir=tmp_path, retries=1, **FAST_RETRY
-        ).run(jobs)
+        SweepRunner(processes=1, cache_dir=tmp_path, retries=1).run(jobs)
         attempts = []
         for path in (tmp_path / "results").glob("*.json"):
             manifest = json.loads(path.read_text())["manifest"]
@@ -304,7 +290,7 @@ class TestResultCacheHygiene:
 class TestCampaignStatsSurface:
     def test_summary_table_unchanged_without_failures(self):
         jobs = demo_jobs()
-        runner = SweepRunner(processes=1, **FAST_RETRY)
+        runner = SweepRunner(processes=1)
         runner.run(jobs)
         table = runner.last_campaign.summary_table()
         assert "failed" not in table
@@ -313,7 +299,7 @@ class TestCampaignStatsSurface:
     def test_summary_table_shows_failure_counters(self):
         jobs = demo_jobs()
         set_fault_plan("raise:victim:attempts=0")
-        runner = SweepRunner(processes=1, retries=1, **FAST_RETRY)
+        runner = SweepRunner(processes=1, retries=1)
         runner.run(jobs)
         table = runner.last_campaign.summary_table()
         assert "1 failed" in table
@@ -324,7 +310,7 @@ class TestCampaignStatsSurface:
     def test_collect_counts_failed_separately(self):
         jobs = demo_jobs()
         set_fault_plan("raise:victim:attempts=0")
-        runner = SweepRunner(processes=1, retries=0, **FAST_RETRY)
+        runner = SweepRunner(processes=1, retries=0)
         records = runner.run(jobs)
         stats = CampaignStats.collect(records, wall_time_s=1.0)
         assert stats.failed == 1
@@ -351,7 +337,7 @@ class TestCampaignStatsSurface:
             ),
         )
         set_fault_plan("raise:victim:attempts=0")
-        previous = set_execution_defaults(retries=1, retry_backoff_s=0.01)
+        previous = set_execution_defaults(retries=1)
         try:
             out = campaign.run(scale="smoke", processes=1)
         finally:
@@ -370,44 +356,39 @@ class TestCampaignStatsSurface:
 class TestExecutionDefaults:
     def test_round_trip(self):
         previous = set_execution_defaults(
-            retries=3, job_timeout=12.5, failure_mode="strict", max_pool_rebuilds=7
+            retries=3, job_timeout=12.5, failure_mode="strict"
         )
         try:
             runner = SweepRunner(processes=1)
             assert runner.retries == 3
             assert runner.job_timeout == 12.5
             assert runner.failure_mode == "strict"
-            assert runner.max_pool_rebuilds == 7
         finally:
             restored = set_execution_defaults(**previous)
         assert restored == {
             "retries": 3,
             "job_timeout": 12.5,
             "failure_mode": "strict",
-            "retry_backoff_s": previous["retry_backoff_s"],
-            "max_pool_rebuilds": 7,
             "shard": None,
         }
         runner = SweepRunner(processes=1)
         assert runner.retries == previous["retries"]
         assert runner.job_timeout is previous["job_timeout"]
-        assert runner.max_pool_rebuilds == previous["max_pool_rebuilds"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             set_execution_defaults(retries=-1)
         with pytest.raises(ValueError):
             set_execution_defaults(failure_mode="explode")
+        # a rejected call stores none of its values
+        before = set_execution_defaults()
         with pytest.raises(ValueError):
-            set_execution_defaults(max_pool_rebuilds=-1)
-        with pytest.raises(ValueError):
-            set_execution_defaults(max_pool_rebuilds=None)
+            set_execution_defaults(retries=4, failure_mode="explode")
+        assert set_execution_defaults() == before
         with pytest.raises(ValueError):
             SweepRunner(processes=1, failure_mode="explode")
         with pytest.raises(ValueError):
             SweepRunner(processes=1, retries=-2)
-        with pytest.raises(ValueError):
-            SweepRunner(processes=1, max_pool_rebuilds=-3)
 
     def test_runner_arguments_override_defaults(self):
         runner = SweepRunner(
@@ -415,14 +396,12 @@ class TestExecutionDefaults:
             retries=5,
             job_timeout=1.0,
             failure_mode="strict",
-            max_pool_rebuilds=9,
         )
         assert (runner.retries, runner.job_timeout, runner.failure_mode) == (
             5,
             1.0,
             "strict",
         )
-        assert runner.max_pool_rebuilds == 9
 
 
 class TestNoFaultEquivalence:

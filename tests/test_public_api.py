@@ -91,3 +91,21 @@ def test_top_level_quickstart_names():
     for name in ("SimulationConfig", "Simulator", "run_simulation",
                  "Workload", "make_workload", "SimulationResult"):
         assert hasattr(repro, name)
+
+
+def test_import_leaves_asyncio_out():
+    """No entry point is async, so importing the program and its CLI
+    must not pay for ``asyncio``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, repro, repro.experiments, repro._cli; "
+        "sys.exit('asyncio' in sys.modules)"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -13,7 +13,6 @@ import pytest
 from repro.analysis import (
     CampaignCheckpoint,
     DirectoryStore,
-    ResultCache,
     SQLiteStore,
     SweepJob,
     SweepRunner,
@@ -194,12 +193,9 @@ class TestQuarantine:
 
 
 class TestLegacyCompat:
-    """The directory backend IS the historical ResultCache: same class,
-    same ``<key>.json`` layout, same content-addressed keys — every
+    """The directory backend keeps the historical result-cache layout:
+    the same ``<key>.json`` files and content-addressed keys, so every
     cache written before the store abstraction existed stays warm."""
-
-    def test_resultcache_alias(self):
-        assert ResultCache is DirectoryStore
 
     def test_key_format_unchanged(self):
         spec = WorkloadSpec.make("adversarial_cycle", threads=2, pages=8)
@@ -213,7 +209,7 @@ class TestLegacyCompat:
         assert key == sweep_result_key(spec, config, PayloadRequest())
 
     def test_legacy_layout_readable_through_uri(self, tmp_path):
-        legacy = ResultCache(tmp_path / "results")
+        legacy = DirectoryStore(tmp_path / "results")
         legacy.put("a" * 32, {"makespan": 7})
         reopened = open_store(f"dir:{tmp_path / 'results'}")
         assert reopened.get("a" * 32) == {"makespan": 7}
@@ -414,29 +410,3 @@ class TestRunnerAgainstBackends:
         runner = SweepRunner(processes=1, result_cache=False, shard="0/2")
         with pytest.raises(ValueError):
             runner.run(demo_jobs())
-
-
-class TestAsyncFrontend:
-    def test_stream_yields_every_record(self, tmp_path):
-        jobs = demo_jobs()
-        runner = SweepRunner(processes=1, cache_dir=tmp_path)
-        streamed = list(runner.stream(jobs, label="streamed"))
-        assert {r.job.tag for r in streamed} == {j.tag for j in jobs}
-        assert runner.last_campaign is not None
-
-    def test_arun_and_astream(self, tmp_path):
-        import asyncio
-
-        jobs = demo_jobs()
-
-        async def drive():
-            runner = SweepRunner(processes=1, cache_dir=tmp_path)
-            via_arun = await runner.arun(jobs, label="async")
-            collected = []
-            async for record in runner.astream(jobs, label="async"):
-                collected.append(record)
-            return via_arun, collected
-
-        via_arun, collected = asyncio.run(drive())
-        assert len(via_arun) == len(jobs)
-        assert {r.job.tag for r in collected} == {j.tag for j in jobs}

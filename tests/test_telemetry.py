@@ -3,7 +3,6 @@ semantics, worker->parent piggybacking, the JSONL event stream,
 heartbeat files, cross-worker warn-once forwarding, Chrome trace
 merging, and bench-regression tracking."""
 
-import io
 import itertools
 import json
 import os
@@ -202,7 +201,7 @@ class TestHeartbeat:
         assert not path.exists()
 
     def test_scan_inflight_ignores_stale_files(self, tmp_path):
-        tele = CampaignTelemetry(stream=io.StringIO())
+        tele = CampaignTelemetry()
         from pathlib import Path
 
         spool = Path(tele.spool_dir)
@@ -226,9 +225,7 @@ class TestCampaignTelemetry:
 
     def test_event_stream_monotone_with_terminal_event(self, tmp_path):
         events_path = tmp_path / "events.jsonl"
-        tele = CampaignTelemetry(
-            events_out=events_path, progress_every=1, stream=io.StringIO()
-        )
+        tele = CampaignTelemetry(events_out=events_path, progress_every=1)
         self._run(tmp_path, tele, "cache")
         tele.close()
         events = [
@@ -248,7 +245,7 @@ class TestCampaignTelemetry:
 
     def test_metrics_snapshot_written(self, tmp_path):
         metrics_path = tmp_path / "m.prom"
-        tele = CampaignTelemetry(metrics_out=metrics_path, stream=io.StringIO())
+        tele = CampaignTelemetry(metrics_out=metrics_path)
         self._run(tmp_path, tele, "cache")
         tele.close()
         text = metrics_path.read_text(encoding="utf-8")
@@ -258,17 +255,10 @@ class TestCampaignTelemetry:
         for ph in ("cache_probe", "simulate", "workload_build"):
             assert f'phase="{ph}"' in text
 
-    def test_live_line_silent_on_non_tty(self, tmp_path):
-        stream = io.StringIO()
-        tele = CampaignTelemetry(live=True, stream=stream)
-        self._run(tmp_path, tele, "cache")
-        tele.close()
-        assert stream.getvalue() == ""
-
     def test_cache_hits_reported_on_replay(self, tmp_path):
         self._run(tmp_path, None, "cache")
         events_path = tmp_path / "events.jsonl"
-        tele = CampaignTelemetry(events_out=events_path, stream=io.StringIO())
+        tele = CampaignTelemetry(events_out=events_path)
         self._run(tmp_path, tele, "cache")
         tele.close()
         events = [
@@ -318,7 +308,6 @@ class TestTelemetryIsInert:
         tele = CampaignTelemetry(
             metrics_out=tmp_path / "m.prom",
             events_out=tmp_path / "e.jsonl",
-            stream=io.StringIO(),
         )
         on = SweepRunner(
             processes=1, cache_dir=tmp_path / "on", telemetry=tele
@@ -337,7 +326,7 @@ class TestTelemetryIsInert:
             assert "warnings" not in doc
 
     def test_pool_piggyback_matches_sequential(self, tmp_path):
-        tele = CampaignTelemetry(metrics_out=tmp_path / "m.prom", stream=io.StringIO())
+        tele = CampaignTelemetry(metrics_out=tmp_path / "m.prom")
         pooled = SweepRunner(
             processes=2, cache_dir=tmp_path / "pool", telemetry=tele
         ).run(jobs())
@@ -354,7 +343,7 @@ class TestTelemetryIsInert:
         assert [[[["status", "simulated"]], 3.0]] == jobs_fam["series"]
 
     def test_replay_without_telemetry_reads_telemetry_written_cache(self, tmp_path):
-        tele = CampaignTelemetry(metrics_out=tmp_path / "m.prom", stream=io.StringIO())
+        tele = CampaignTelemetry(metrics_out=tmp_path / "m.prom")
         cold = SweepRunner(
             processes=1, cache_dir=tmp_path / "c", telemetry=tele
         ).run(jobs())
@@ -582,8 +571,8 @@ class TestDocumentedMetrics:
 
 
 class TestEventSchemaV2:
-    """v2 events carry the campaign-durability fields; v1 streams stay
-    readable through :func:`iter_campaign_events`."""
+    """v2 events carry the campaign-durability fields; any other schema
+    is rejected by :func:`iter_campaign_events`."""
 
     def _events(self, path):
         from repro.analysis.telemetry import iter_campaign_events
@@ -606,7 +595,7 @@ class TestEventSchemaV2:
 
     def test_start_and_end_carry_durability_fields(self, tmp_path):
         events_path = tmp_path / "events.jsonl"
-        tele = CampaignTelemetry(events_out=events_path, stream=io.StringIO())
+        tele = CampaignTelemetry(events_out=events_path)
         runner = SweepRunner(
             processes=1, cache_dir=tmp_path / "cache", telemetry=tele
         )
@@ -622,32 +611,25 @@ class TestEventSchemaV2:
         assert end["campaign_id"] == runner.last_campaign.campaign_id
         assert end["store"] == f"dir:{tmp_path / 'cache' / 'results'}"
 
-    def test_v1_stream_upgraded_with_quiet_defaults(self, tmp_path):
-        path = tmp_path / "v1.jsonl"
-        lines = [
-            {
-                "schema": "repro.campaign.events/v1",
-                "event": "campaign.start",
-                "seq": 0,
-                "campaign": "old",
-                "total": 3,
-            },
-            {
-                "schema": "repro.campaign.events/v1",
-                "event": "campaign.end",
-                "seq": 1,
-                "campaign": "old",
-                "simulated": 3,
-            },
-        ]
+    def test_torn_line_skipped_and_v1_rejected(self, tmp_path):
+        from repro.analysis.telemetry import EVENT_SCHEMA
+
+        path = tmp_path / "events.jsonl"
+        event = {
+            "schema": EVENT_SCHEMA,
+            "event": "campaign.start",
+            "seq": 0,
+            "campaign": "demo",
+        }
         path.write_text(
-            "\n".join(json.dumps(line) for line in lines)
-            + "\n"
-            + '{"torn": '  # live stream cut mid-write
+            json.dumps(event) + "\n" + '{"torn": '  # live stream cut mid-write
         )
-        start, end = self._events(path)
-        assert start["resumed"] == 0 and start["shard"] == ""
-        assert end["campaign_id"] == "" and end["store"] == ""
+        assert self._events(path) == [event]
+        path.write_text(
+            json.dumps({**event, "schema": "repro.campaign.events/v1"}) + "\n"
+        )
+        with pytest.raises(ValueError):
+            self._events(path)
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "alien.jsonl"
