@@ -110,13 +110,12 @@ def test_fastengine_channel_bound(benchmark, miss_workload):
 
 
 def _ff_speedup_payload(workload, cfg, *, workload_desc, config_desc, rounds=5):
-    """Time the fast engine with FF off/on; return the bench payload.
+    """Time the reference engine with FF off/on; return the bench payload.
 
-    The engine is pinned: ``auto`` sends the contended miss-bound job to
-    the reference engine, and the gated speedup tracks the fast
-    engine's provers across versions. Checks the two runs are
-    bit-identical before reporting — a speedup from diverging results
-    would be meaningless.
+    The reference engine is the only engine that fast-forwards and the
+    one every campaign runs, so the gated speedup tracks its provers
+    across versions. Checks the two runs are bit-identical before
+    reporting — a speedup from diverging results would be meaningless.
     """
     import time
 
@@ -129,7 +128,7 @@ def _ff_speedup_payload(workload, cfg, *, workload_desc, config_desc, rounds=5):
             best, result = float("inf"), None
             for _ in range(rounds):
                 start = time.perf_counter()
-                result = simulate(workload.traces, cfg, engine="fast")
+                result = simulate(workload, cfg, engine="reference")
                 best = min(best, time.perf_counter() - start)
             return result, best
         finally:
@@ -152,7 +151,7 @@ def _ff_speedup_payload(workload, cfg, *, workload_desc, config_desc, rounds=5):
     return {
         "workload": workload_desc,
         "config": config_desc,
-        "engine": "fast",
+        "engine": "reference",
         "ticks": on.ticks,
         "ff_intervals": on.ff_intervals,
         "ff_elided_ticks": on.ff_elided_ticks,
@@ -195,9 +194,9 @@ def test_fast_forward_speedup_miss_bound():
     """Quiescent-interval fast-forward on the guaranteed-miss regime.
 
     A miss-bound adversarial workload is one long DRAM-queue drain, so
-    the planner should elide nearly every tick. The in-test floor is 3x
-    to tolerate noisy CI machines; a healthy run measures >=5x (see the
-    committed JSON).
+    the planner should elide nearly every tick. The speedup is gated
+    against the committed baseline by ``repro bench diff``; it has no
+    in-test floor.
     """
     workload = make_workload(
         "adversarial_cycle", threads=32, pages=64, repeats=24
@@ -211,7 +210,6 @@ def test_fast_forward_speedup_miss_bound():
     )
     assert payload["ff_elided_fraction"] > 0.9
     _merge_engine_bench("miss_bound", payload)
-    assert payload["ff_speedup"] >= 3.0, payload
 
 
 def test_fast_forward_speedup_hit_heavy():
@@ -219,7 +217,8 @@ def test_fast_forward_speedup_hit_heavy():
 
     Everything fits in HBM, so after the cold pass the run is pure
     hits: the hit-window prover should elide the bulk of the ticks.
-    The in-test floor is 2x (CI gate); a healthy run measures >=8x.
+    The speedup is gated against the committed baseline by
+    ``repro bench diff``; it has no in-test floor.
     """
     from repro.traces import densemm_workload
 
@@ -233,7 +232,6 @@ def test_fast_forward_speedup_hit_heavy():
     )
     assert payload["ff_elided_fraction"] >= 0.5
     _merge_engine_bench("hit_heavy", payload)
-    assert payload["ff_speedup"] >= 2.0, payload
 
 
 def test_ff_policy_zoo_coverage():
@@ -341,14 +339,16 @@ def _cell(seconds, ticks):
 
 def test_engine_matrix():
     """Absolute seconds and ticks/s for reference, fast and a 16-lane
-    batch in four regimes, fast-forward on.
+    batch in four regimes, fast-forward on (only the reference engine
+    fast-forwards; the fast and batch columns tick every tick).
 
     The batch column runs 16 lanes of the row's job (16 seeds, all
     eligible) in one lockstep state; its ``s`` is the batch wall per
     lane, its ``ticks_per_s`` counts every lane's ticks. ``auto`` names
-    the engine :func:`repro.core.simulate` picks for the row. Every
-    engine's result is checked against the reference engine's first.
-    Absolute numbers are informational: they are not gated.
+    the engine :func:`repro.core.simulate` picks for the row: the
+    reference engine on every row. Every engine's result is checked
+    against the reference engine's first. Absolute numbers are
+    informational: they are not gated.
     """
     from repro.core import BatchSimulator, resolve_engine
     from repro.core.drain import set_fast_forward
@@ -382,7 +382,7 @@ def test_engine_matrix():
                 assert result.response_histogram == ref.response_histogram, name
             fits = cfg.hbm_slots > workload.attestation.max_page
             auto = resolve_engine(workload, cfg)
-            assert auto == ("fast" if fits else "reference"), name
+            assert auto == "reference", name
             batch_ticks = sum(r.ticks for r in batch)
             matrix[name] = {
                 "workload": f"{kind} "

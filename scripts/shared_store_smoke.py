@@ -26,16 +26,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.analysis import (
-    SQLiteStore,
-    SweepJob,
-    SweepRunner,
-    WorkloadSpec,
-    run_sweep,
-    sweep_result_key,
-)
+from repro.analysis import SweepJob, SweepRunner, WorkloadSpec, run_sweep
 from repro.core import SimulationConfig
 from repro.obs import configure_logging
+from repro.store import SQLiteStore, sweep_result_key
 
 METRIC_FIELDS = (
     "makespan",

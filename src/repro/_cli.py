@@ -47,17 +47,11 @@ from .analysis import (
     parse_shard,
     set_execution_defaults,
     set_result_cache_default,
-    set_store_default,
     set_telemetry_defaults,
     sweep_job_from_dict,
     write_csv,
 )
-from .core import (
-    ENGINE_CHOICES,
-    SimulationConfig,
-    set_default_engine,
-    simulate,
-)
+from .core import ENGINE_CHOICES, SimulationConfig, simulate
 from .experiments import EXPERIMENTS, experiment_ids, run_experiment
 from .obs import (
     TimelineProbe,
@@ -66,12 +60,13 @@ from .obs import (
     write_chrome_trace,
     write_timeline_jsonl,
 )
-from .traces import (
-    WorkloadCache,
-    default_cache_dir,
-    make_workload,
-    workload_kinds,
+from .store import (
+    open_store,
+    parse_store_uri,
+    resolve_store_uri,
+    set_store_default,
 )
+from .traces import WorkloadCache, make_workload, workload_kinds
 
 __all__ = ["main", "build_parser"]
 
@@ -179,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume a checkpointed campaign from the store: finished "
         "jobs are skipped, only the remainder is simulated",
     )
-    _add_engine_flag(run_p)
     run_p.add_argument(
         "--no-result-cache", action="store_true",
         help="recompute every sweep job even when a cached result "
@@ -333,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_p.add_argument(
         "--cache-dir", default=None,
-        help="cache directory (default: $HBM_REPRO_CACHE or "
-        "~/.cache/hbm-repro)",
+        help="cache directory: the workload cache and, unless --store or "
+        "REPRO_STORE names one, the result store <cache-dir>/results",
     )
     cache_p.add_argument(
         "--store", default=None, metavar="URI",
@@ -356,10 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=ENGINE_CHOICES, default="auto",
-        help="simulator engine: 'auto' dispatches eligible configs whose "
-        "working set fits in HBM to the vectorized fast engine and the "
-        "rest to the reference engine, 'reference'/'fast' force one "
-        "(default: auto)",
+        help="simulator engine: 'auto' and 'reference' run the reference "
+        "engine, 'fast' the vectorized engine (LRU, disjoint traces "
+        "only; default: auto)",
     )
 
 
@@ -400,8 +393,6 @@ def _run_args_error(args: argparse.Namespace) -> str | None:
     """The first invalid ``repro run`` value as ``bad --<flag>: ...``,
     or None. Checked before any process-wide default is set, so a
     rejected command leaves the process exactly as it found it."""
-    from .store import parse_store_uri
-
     if args.retries is not None and args.retries < 0:
         return f"bad --retries: must be >= 0, got {args.retries}"
     if args.progress_every is not None and args.progress_every < 1:
@@ -445,7 +436,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     failed: list[str] = []
     outputs = []
     # Experiment runners take (scale, processes, cache_dir, seed) only;
-    # engine choice, result-cache policy, and fault-tolerance knobs flow
+    # result-cache policy, store, fault-tolerance and telemetry knobs flow
     # through module-level defaults, restored afterwards so in-process
     # callers are unaffected.
     exec_overrides = {}
@@ -464,7 +455,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         tele_overrides["events_out"] = args.events_out
     if args.progress_every is not None:
         tele_overrides["progress_every"] = args.progress_every
-    prev_engine = set_default_engine(args.engine)
     prev_cache = set_result_cache_default(not args.no_result_cache)
     prev_store = set_store_default(args.store) if args.store else None
     prev_exec = set_execution_defaults(**exec_overrides)
@@ -501,7 +491,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{experiment_id}:{name}" for name in out.failed_checks()
             )
     finally:
-        set_default_engine(prev_engine)
         set_result_cache_default(prev_cache)
         if args.store:
             set_store_default(prev_store)
@@ -522,20 +511,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_store_uri(
-    store: str | None, cache_dir: str | None
-) -> str:
-    """The store URI a command targets: explicit ``--store``, else the
-    ``REPRO_STORE`` environment, else ``<cache-dir>/results``."""
-    from .store import default_store_uri
-
-    if store:
-        return store
-    env = default_store_uri()
-    if env:
-        return env
-    base = Path(cache_dir) if cache_dir else default_cache_dir()
-    return f"dir:{base / 'results'}"
+def _open_command_store(args: argparse.Namespace):
+    """The result store ``repro cache`` / ``run --resume`` act on, by
+    the rule every campaign uses (:func:`repro.store.resolve_store_uri`),
+    or None after printing why there is none."""
+    uri = resolve_store_uri(args.store, args.cache_dir)
+    if uri is None:
+        print(
+            "no result store: pass --cache-dir or --store, or set REPRO_STORE",
+            file=sys.stderr,
+        )
+        return None
+    return open_store(uri)
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
@@ -549,10 +536,9 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     in the frontier, and the report/check pipeline runs as usual.
     Otherwise the jobs are rebuilt from the manifest and swept directly.
     """
-    from .store import open_store
-
-    uri = _resolve_store_uri(args.store, args.cache_dir)
-    store = open_store(uri)
+    store = _open_command_store(args)
+    if store is None:
+        return 2
     try:
         checkpoint = store.load_checkpoint(args.resume)
         if checkpoint is None:
@@ -600,13 +586,16 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from .store import open_store
-
     do_results = not args.workloads_only
-    do_workloads = not args.results_only
+    do_workloads = not args.results_only and args.cache_dir is not None
+    if args.workloads_only and args.cache_dir is None:
+        print("no workload cache: pass --cache-dir", file=sys.stderr)
+        return 2
     status = 0
     if do_results:
-        store = open_store(_resolve_store_uri(args.store, args.cache_dir))
+        store = _open_command_store(args)
+        if store is None:
+            return 2
         try:
             if args.cache_command == "clear":
                 removed = store.clear()

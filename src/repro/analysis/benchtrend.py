@@ -64,7 +64,7 @@ GATED_METRICS: dict[str, dict[str, str]] = {
         "miss_bound.ff_speedup": "higher",
         "hit_heavy.ff_speedup": "higher",
     },
-    "sweep": {"cache_speedup": "higher", "dispatch_speedup": "higher"},
+    "sweep": {"cache_speedup": "higher"},
     "obs": {
         "fast.overhead_fraction": "ceiling",
         "reference.overhead_fraction": "ceiling",

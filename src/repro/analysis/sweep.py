@@ -51,11 +51,10 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..core import SimulationConfig, SimulationResult
-from ..core.fastengine import default_engine, resolve_engine, simulate
+from ..core.fastengine import simulate
 from ..core.metrics import (
     histogram_from_json,
     histogram_percentile,
@@ -78,11 +77,10 @@ from ..store import (
     CampaignCheckpoint,
     ResultStore,
     campaign_id_for,
-    default_store_uri,
     open_store,
+    resolve_store_uri,
     sweep_result_key,
 )
-from ..store.dirstore import DirectoryStore
 from ..traces import Workload, WorkloadCache, make_workload
 from .faults import maybe_inject, maybe_inject_parent
 from .telemetry import CampaignTelemetry, HeartbeatWriter, default_telemetry
@@ -685,20 +683,17 @@ class SweepRecord:
 
 # module-level worker state so ProcessPoolExecutor can pickle the worker
 _WORKER_CACHE_DIR: str | None = None
-_WORKER_ENGINE: str | None = None
 #: heartbeat spool directory when the campaign collects telemetry
 _WORKER_SPOOL_DIR: str | None = None
 
 
 def _pool_init(
     cache_dir: str | None,
-    engine: str | None = None,
     spool_dir: str | None = None,
     worker: bool = False,
 ) -> None:
-    global _WORKER_CACHE_DIR, _WORKER_ENGINE, _WORKER_SPOOL_DIR
+    global _WORKER_CACHE_DIR, _WORKER_SPOOL_DIR
     _WORKER_CACHE_DIR = cache_dir
-    _WORKER_ENGINE = engine
     _WORKER_SPOOL_DIR = spool_dir
     if worker:
         # Pool workers never log warnings directly: warn_once buffers
@@ -843,14 +838,10 @@ def _run_job(
             with _job_deadline(timeout):
                 maybe_inject(job.tag, attempt)
                 workload, build_s = _build_workload(job.workload, workloads)
-                # Dispatch through the engine selector: eligible (LRU,
-                # protected, disjoint) jobs that fit in HBM take the
-                # vectorized fast path, everything else runs on the
-                # reference engine with identical results. The Workload
-                # object is passed whole so its build-time attestation
-                # replaces the per-dispatch disjointness scan.
+                # Every campaign job runs on the reference engine, the
+                # one that fast-forwards.
                 config, probe = _engine_config(job)
-                result = simulate(workload, config, engine=_WORKER_ENGINE)
+                result = simulate(workload, config)
                 payload = SweepPayload.from_result(job.payload, result, probe)
                 record = SweepRecord.from_result(job, result, payload)
         except JobTimeout as exc:
@@ -875,7 +866,7 @@ def _run_job(
         # which attempt.
         manifest = {
             "schema": MANIFEST_SCHEMA,
-            "engine": resolve_engine(workload, config, _WORKER_ENGINE),
+            "engine": "reference",
             "host": host_info(),
             "timings": {
                 "workload_build_s": round(build_s, 6),
@@ -1127,10 +1118,6 @@ class SweepRunner:
     ``processes=None`` picks ``os.cpu_count()``; ``processes<=1`` runs
     sequentially in-process (useful under pytest and for debugging).
 
-    ``engine`` selects the simulator per job (``"auto"`` /
-    ``"reference"`` / ``"fast"``; ``None`` uses the process default from
-    :func:`repro.core.fastengine.set_default_engine`).
-
     When ``cache_dir`` is given and ``result_cache`` is enabled (the
     default, see :func:`set_result_cache_default`), finished records
     are persisted under ``<cache_dir>/results/`` and re-running a job
@@ -1161,15 +1148,14 @@ class SweepRunner:
     lost are resubmitted, up to three times per campaign.
 
     Every cache-miss job runs as its own attempt through
-    :func:`_run_job`, in process or in a pool worker, and the engine
-    dispatch rule (:func:`repro.core.resolve_engine`) picks its engine.
+    :func:`_run_job`, in process or in a pool worker, on the reference
+    engine.
     """
 
     def __init__(
         self,
         processes: int | None = None,
         cache_dir: str | os.PathLike | None = None,
-        engine: str | None = None,
         result_cache: bool | None = None,
         retries: int | None = None,
         job_timeout: float | None = None,
@@ -1180,7 +1166,6 @@ class SweepRunner:
     ) -> None:
         self.processes = processes if processes is not None else (os.cpu_count() or 1)
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.engine = engine if engine is not None else default_engine()
         self.result_cache = (
             result_cache if result_cache is not None else _RESULT_CACHE_DEFAULT
         )
@@ -1227,21 +1212,18 @@ class SweepRunner:
     def _open_store(self) -> ResultStore | None:
         """Resolve the result store this campaign runs against.
 
-        Order: the runner's explicit ``store`` argument, then the
-        process default URI (CLI ``--store`` / ``REPRO_STORE``), then
-        the historical ``<cache_dir>/results`` directory backend.
+        Order: the runner's explicit ``store`` argument, then
+        :func:`repro.store.resolve_store_uri` (CLI ``--store`` /
+        ``REPRO_STORE``, then ``<cache_dir>/results``), the same rule
+        ``repro cache`` and ``repro run --resume`` use.
         ``result_cache=False`` disables all of it.
         """
         if not self.result_cache:
             return None
         if self.store is not None:
             return open_store(self.store)
-        uri = default_store_uri()
-        if uri is not None:
-            return open_store(uri)
-        if self.cache_dir is None:
-            return None
-        return DirectoryStore(Path(self.cache_dir) / "results")
+        uri = resolve_store_uri(cache_dir=self.cache_dir)
+        return open_store(uri) if uri is not None else None
 
     def run(
         self,
@@ -1402,18 +1384,17 @@ class SweepRunner:
                 total=len(visible),
                 cache_hits=hits,
                 pending=len(pending),
-                engine=self.engine,
+                engine="reference",
                 processes=self.processes,
                 resumed=resumed,
                 shard=shard_str,
             )
         log.info(
             "campaign start: %d jobs (%d cache hits, %d to simulate) "
-            "engine=%s processes=%d cache=%s",
+            "processes=%d cache=%s",
             len(visible),
             hits,
             len(pending),
-            self.engine,
             self.processes,
             "off" if cache is None else "on",
         )
@@ -1566,7 +1547,7 @@ class SweepRunner:
         counters: dict[str, int],
     ) -> None:
         """In-process execution with the same retry semantics as the pool."""
-        _pool_init(self.cache_dir, self.engine)
+        _pool_init(self.cache_dir)
         workloads = _CampaignWorkloads(
             (jobs[idx].workload for idx in pending),
             WorkloadCache(self.cache_dir) if self.cache_dir else None,
@@ -1600,7 +1581,6 @@ class SweepRunner:
             initializer=_pool_init,
             initargs=(
                 self.cache_dir,
-                self.engine,
                 self._tele.spool_dir if self._tele is not None else None,
                 True,
             ),
@@ -1779,13 +1759,11 @@ def run_sweep(
     jobs: Sequence[SweepJob],
     processes: int | None = None,
     cache_dir: str | os.PathLike | None = None,
-    engine: str | None = None,
     result_cache: bool | None = None,
 ) -> list[SweepRecord]:
     """One-call sweep execution."""
     return SweepRunner(
         processes=processes,
         cache_dir=cache_dir,
-        engine=engine,
         result_cache=result_cache,
     ).run(jobs)

@@ -131,7 +131,7 @@ class ArbitrationPolicy(ABC):
     def drain_plan(self, limit: int, horizon: int) -> "DrainPlan | None":
         """A committable snapshot of future grant order, or ``None``.
 
-        The engines' quiescent-interval fast-forward asks the policy to
+        The reference engine's quiescent-interval fast-forward asks the policy to
         predict its own ``select`` sequence: the returned plan must pop
         and push exactly as the live policy would over ticks in
         ``[now, plan.horizon)``. ``begin_tick`` effects inside that
@@ -151,7 +151,7 @@ class ArbitrationPolicy(ABC):
     def skip_idle_ticks(self, start: int, end: int) -> bool:
         """Apply ``begin_tick`` effects for elided ticks ``(start, end)``.
 
-        The engines' guaranteed-*hit* fast-forward never touches the
+        The reference engine's guaranteed-*hit* fast-forward never touches the
         request queue (it stays empty for the whole interval), so the
         only policy state that can drift is whatever ``begin_tick``
         mutates. Implementations must either apply those effects for

@@ -16,27 +16,26 @@ of size ``U_b``; cores and universes are concatenated, with
 global rows. Per-core state (``pos``, ``current``, ``request_tick``,
 the ready mask) and per-page state (``resident``, ``last_stamp``,
 ``owner``) are flat arrays over those concatenations; traces keep
-*lane-local* page ids so any lane's state is a contiguous slice — which
-is exactly what lets the quiescent-interval fast-forward
-(:func:`repro.core.fastengine._attempt_fast_forward`) run **unchanged**
-against numpy slice views of the batch state.
+*lane-local* page ids so any lane's state is a contiguous slice.
 
-Divergence is handled by masking and per-lane retirement:
+Every active lane ticks every global step (the engine does not
+fast-forward; that lives in the reference engine only), so one clock
+serves all lanes. Divergence is handled by masking and per-lane
+retirement:
 
-* lanes have independent virtual clocks (``t_lane``) — a lane that
-  fast-forwards a quiescent interval jumps ahead and simply skips that
-  global step, while the rest tick normally;
 * per-lane policy objects, eviction heaps, and metric collectors keep
   every stateful branch (remap boundaries, RNG draws, LRU order)
   bit-identical to a solo run;
 * a lane retires the moment its last core completes, running the fast
   engine's end-of-run aggregation on its own serve buffers.
 
-Bit-identical discipline (same contract as :mod:`repro.core.drain`):
-for every supported lane, :func:`simulate_batch` returns *exactly* the
+Bit-identical discipline: for every supported lane,
+:func:`simulate_batch` returns *exactly* the
 :class:`~repro.core.metrics.SimulationResult` — metrics, response
-logs, probe sample series, ff counters — that :func:`simulate` would
-produce for that job alone. ``ENGINE_SEMANTICS_VERSION`` does not
+logs, probe sample series — that ``simulate(..., engine="fast")``
+would produce for that job alone, and the reference engine's result
+but for its fast-forward counters (``ff_intervals`` and
+``ff_elided_ticks`` read 0 here). ``ENGINE_SEMANTICS_VERSION`` does not
 change; ``tests/test_batchengine.py`` enforces this differentially
 across every arbitration policy and trace family.
 
@@ -45,9 +44,8 @@ Eligibility is the fast path's scope plus passive probes: LRU +
 :class:`~repro.obs.TimelineProbe` observers (callback probes could see
 lanes' samples interleaved mid-run, so they force the solo path).
 Ineligible items fall back to :func:`simulate` mid-batch with no result
-change. Under ``engine="auto"`` the shared dispatch rule also keeps
-contended jobs (working set larger than HBM) out of the lockstep state:
-they run solo on the reference engine, which is faster there (the
+change. Only ``engine="fast"`` forms lockstep lanes: under ``"auto"``
+every item runs solo on the reference engine (the
 :class:`BatchResults` that :func:`simulate_batch` returns names the
 engine of every item).
 
@@ -65,20 +63,17 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import drain
 from .arbitration import ArbitrationPolicy, make_arbitration_policy
 from .config import SimulationConfig
 from .dram import DramGeometry
 from .engine import SimulationLimitError
 from .fastengine import (
-    _attempt_fast_forward,
     _attest_arrays,
     _attestation_ok,
     _check_engine,
     _choose,
     _config_supported,
     _normalize_traces,
-    _record_ff_phase,
     _record_run_metrics,
     simulate,
 )
@@ -201,22 +196,17 @@ class BatchSimulator:
         request_tick = np.zeros(P, dtype=np.int64)
         ready_mask = np.zeros(P, dtype=bool)
 
-        # ---- per-lane counters, clocks, and stateful objects ----------
+        # ---- per-lane counters and stateful objects -------------------
         # Per-lane scalars live in plain Python lists: the hot loop reads
         # them once per lane per tick, and a list index is several times
-        # cheaper than extracting a numpy scalar. Only ``t_lane`` keeps a
-        # numpy mirror (the serve phase gathers it per hit).
+        # cheaper than extracting a numpy scalar.
         p_l = p.tolist()
         cs_l = core_start.tolist()
         us_l = uni_start.tolist()
-        uni_l = universes.tolist()
         q_l = [cfg.channels for _, cfg in self.lanes]
         cap_l = [cfg.hbm_slots for _, cfg in self.lanes]
         ss_l = [p_l[b] + q_l[b] + 1 for b in range(B)]
         stride_core = np.asarray(ss_l, dtype=np.int64)[lane_of_core]
-        trace_len_l = [0] * B  # per-lane total trace length, for FF views
-        t_lane = np.zeros(B, dtype=np.int64)
-        t_l = [0] * B
         queue_l = [0] * B
         fetch_l = [0] * B
         evic_l = [0] * B
@@ -239,14 +229,6 @@ class BatchSimulator:
         log_w: list[np.ndarray] = []
         probes_by_lane: list[tuple[Any, ...]] = []
         probe_strides: list[int] = []
-        ff_enabled = drain.fast_forward_enabled()
-        ff_eligible = [ff_enabled] * B
-        ff_states = [drain.FFState() for _ in range(B)]
-        ff_next_try = [0] * B
-        ff_backoff = [drain.BACKOFF_MIN] * B
-        ff_horizon: list[int] = []
-        ff_intervals = [0] * B
-        ff_elided = [0] * B
 
         for b, (arrays, cfg) in enumerate(self.lanes):
             p_b = p_l[b]
@@ -270,11 +252,6 @@ class BatchSimulator:
             heaps.append([])
             probes_by_lane.append(cfg.probes)
             probe_strides.append(cfg.probe_stride)
-            ff_horizon.append(
-                (cfg.max_ticks + 1)
-                if cfg.max_ticks is not None
-                else drain.UNBOUNDED
-            )
             for probe in cfg.probes:
                 probe.on_run_start(p_b, cfg)
             g0 = cs_l[b]
@@ -282,7 +259,6 @@ class BatchSimulator:
             for i in np.flatnonzero(~alive):
                 metrics[b].record_completion(int(i), 0)
             done_l[b] = int((~alive).sum())
-            trace_len_l[b] = int(lengths[g0 : g0 + p_b].sum())
             gi = g0 + np.flatnonzero(alive)
             current[gi] = big_trace[offsets[gi]]
             ready_mask[gi] = True
@@ -292,11 +268,14 @@ class BatchSimulator:
             from ..obs.probe import ProbeSample
 
         active_lanes = list(range(B))
-        active_arr = np.arange(B, dtype=np.int64)
-        active_dirty = False
-        # (ticks, makespan) per retired lane; aggregation and finalize
-        # run once, after the loop
+        # the tick every lane stopped at (its tick count); (ticks,
+        # makespan) per retired lane — aggregation and finalize run
+        # once, after the loop
+        stopped_at = [0] * B
         retire_info: list[tuple[int, int] | None] = [None] * B
+        # every active lane steps every global step, so one clock serves
+        # them all
+        t = 0
 
         def evict_one(b: int) -> bool:
             """Pop lane b's true LRU unprotected page; False if all protected."""
@@ -326,154 +305,46 @@ class BatchSimulator:
                 heapq.heappush(heap, entry)
             return victim_found
 
-        def _retire(b: int) -> None:
-            """Lane b completed: snapshot counters, defer aggregation."""
-            nonlocal active_dirty
+        def _stop(b: int) -> None:
+            """Take lane b out of the lockstep state at the current tick."""
             active_lanes.remove(b)
-            active_dirty = True
             g0 = cs_l[b]
             ready_mask[g0 : g0 + p_l[b]] = False
-            retire_info[b] = (t_l[b], mksp_l[b])
+            stopped_at[b] = t
             if probes_by_lane[b]:
                 probe_lanes.remove(b)
+
+        def _retire(b: int) -> None:
+            """Lane b completed: snapshot counters, defer aggregation."""
+            _stop(b)
+            retire_info[b] = (t, mksp_l[b])
 
         def _abort(b: int, exc: Exception) -> None:
             """Lane b failed (e.g. max_ticks): record the solo-path error."""
-            nonlocal active_dirty
-            active_lanes.remove(b)
-            active_dirty = True
-            g0 = cs_l[b]
-            ready_mask[g0 : g0 + p_l[b]] = False
+            _stop(b)
             results[b] = exc
-            if probes_by_lane[b]:
-                probe_lanes.remove(b)
-
-        ff_wall = 0.0
-
-        def _try_fast_forward(b: int) -> bool:
-            """One FF attempt for lane b; True when the lane jumped.
-
-            Accumulates attempt/apply wall time for the campaign phase
-            profiler, then runs :func:`_ff_attempt`.
-            """
-            nonlocal ff_wall
-            _ff_t0 = time.perf_counter()
-            try:
-                return _ff_attempt(b)
-            finally:
-                ff_wall += time.perf_counter() - _ff_t0
-
-        def _ff_attempt(b: int) -> bool:
-            """Runs :func:`fastengine._attempt_fast_forward` verbatim
-            against this lane's slice views — basic slices share memory,
-            so the interval's bulk apply writes straight into the batch
-            state.
-            """
-            t = t_l[b]
-            arb = arbs[b]
-            g0 = cs_l[b]
-            g1 = g0 + p_l[b]
-            u0 = us_l[b]
-            u1 = u0 + uni_l[b]
-            toff = int(offsets[g0])
-            ready = np.flatnonzero(ready_mask[g0:g1]).astype(np.int64)
-            # FF appends this lane's serves to throwaway buffers; only a
-            # committed jump moves them into the shared log (tagged with
-            # the lane id), preserving the lane's chronological order.
-            tmp_t: list[np.ndarray] = []
-            tmp_w: list[np.ndarray] = []
-            ff = _attempt_fast_forward(
-                ff_states[b], arb, t, p_l[b], q_l[b], cap_l[b],
-                big_trace[toff : toff + trace_len_l[b]],
-                offsets[g0:g1] - toff, lengths[g0:g1],
-                pos[g0:g1], current[g0:g1], request_tick[g0:g1],
-                ready, resident[u0:u1], rescnt_l[b],
-                last_stamp[u0:u1], heaps[b], ss_l[b],
-                queue_l[b], fetch_l[b], evic_l[b],
-                done_l[b], mksp_l[b], metrics[b],
-                tmp_t, tmp_w,
-                probes_by_lane[b], probe_strides[b],
-                ff_horizon[b],
-            )
-            if ff is None:
-                if not ff_states[b].eligible:
-                    ff_eligible[b] = False
-                else:
-                    ff_next_try[b] = t + ff_backoff[b]
-                    ff_backoff[b] = min(ff_backoff[b] * 2, drain.BACKOFF_MAX)
-                return False
-            ff_backoff[b] = drain.BACKOFF_MIN
-            ff_intervals[b] += 1
-            t_new, new_ready, qn, fn, en, dn, mn, rn = ff
-            t_new = int(t_new)
-            ff_elided[b] += t_new - t
-            queue_l[b] = int(qn)
-            fetch_l[b] = int(fn)
-            evic_l[b] = int(en)
-            done_l[b] = int(dn)
-            mksp_l[b] = int(mn)
-            rescnt_l[b] = int(rn)
-            t_l[b] = t_new
-            t_lane[b] = t_new
-            for thr in tmp_t:
-                log_lane.append(np.full(len(thr), b, dtype=np.int64))
-            log_thr.extend(tmp_t)
-            log_w.extend(tmp_w)
-            ready_mask[g0:g1] = False
-            ready_mask[g0 + new_ready] = True
-            mt = max_ticks[b]
-            if mt is not None and t_new > mt:
-                _abort(b, SimulationLimitError(
-                    f"simulation exceeded max_ticks={mt} "
-                    f"({done_l[b]}/{p_l[b]} threads complete)"
-                ))
-            elif done_l[b] == p_l[b]:
-                _retire(b)
-            return True
 
         for b in range(B):
             if done_l[b] == p_l[b]:
                 _retire(b)
 
-        prologue_live = ff_enabled or any(begin_live)
+        prologue_live = any(begin_live)
         arange_b1 = np.arange(B + 1, dtype=np.int64)
         arange_p = np.arange(P, dtype=np.int64)
 
         # ---- the lockstep loop ---------------------------------------
-        # Each iteration advances every active lane by one tick of *its*
-        # virtual clock — except lanes that fast-forward, which jump and
-        # sit the step out. Phase order within the tick is exactly the
-        # fast engine's: classify -> enqueue misses -> evict/cap fetch
-        # -> serve hits -> grant fetches -> sample probes.
+        # Each iteration advances every active lane by one tick. Phase
+        # order within the tick is exactly the fast engine's: classify
+        # -> enqueue misses -> evict/cap fetch -> serve hits -> grant
+        # fetches -> sample probes.
         while active_lanes:
-            jumped: list[int] = []
             if prologue_live:
-                for b in tuple(active_lanes):
+                for b in active_lanes:
                     if begin_live[b]:
-                        arbs[b].begin_tick(t_l[b])
-                    if (
-                        ff_eligible[b]
-                        and t_l[b] >= ff_next_try[b]
-                        and _try_fast_forward(b)
-                    ):
-                        jumped.append(b)
+                        arbs[b].begin_tick(t)
 
-            # classify: one gather over every stepping lane's ready cores
-            if jumped:
-                step_list = [b for b in active_lanes if b not in jumped]
-                if not step_list:
-                    continue
-                step_mask = np.zeros(B, dtype=bool)
-                step_mask[step_list] = True
-                act = np.flatnonzero(ready_mask & step_mask[lane_of_core])
-                sl_arr = np.asarray(step_list, dtype=np.int64)
-            else:
-                step_list = active_lanes
-                if active_dirty:
-                    active_arr = np.asarray(active_lanes, dtype=np.int64)
-                    active_dirty = False
-                sl_arr = active_arr
-                act = np.flatnonzero(ready_mask)
+            # classify: one gather over every lane's ready cores
+            act = np.flatnonzero(ready_mask)
             if len(act):
                 pages_act = current[act]
                 flags = resident[pages_act + uni_start_core[act]]
@@ -493,7 +364,7 @@ class BatchSimulator:
 
             # evict to make room, capping each lane's fetch grant
             will_fetch = [0] * B
-            for b in step_list:
+            for b in active_lanes:
                 ql = queue_l[b]
                 if not ql:
                     continue
@@ -510,14 +381,13 @@ class BatchSimulator:
             maybe_done: list[int] = []
             if len(hit_g):
                 lane_h = lane_of_core[hit_g]
-                t_h = t_lane[lane_h]
-                w = t_h - request_tick[hit_g] + 1
+                w = t - request_tick[hit_g] + 1
                 bnds = np.searchsorted(lane_h, arange_b1)
                 serve_idx = arange_p[: len(hit_g)] - np.repeat(
                     bnds[:-1], np.diff(bnds)
                 )
                 last_stamp[current[hit_g] + uni_start_core[hit_g]] = (
-                    t_h * stride_core[hit_g] + serve_idx
+                    t * stride_core[hit_g] + serve_idx
                 )
                 log_lane.append(lane_h)
                 log_thr.append(hit_g - core_start[lane_h])
@@ -529,9 +399,9 @@ class BatchSimulator:
                     for g, b in zip(
                         finished.tolist(), lane_of_core[finished].tolist()
                     ):
-                        metrics[b].record_completion(g - cs_l[b], t_l[b] + 1)
+                        metrics[b].record_completion(g - cs_l[b], t + 1)
                         done_l[b] += 1
-                        mksp_l[b] = t_l[b] + 1
+                        mksp_l[b] = t + 1
                         if done_l[b] == p_l[b]:
                             maybe_done.append(b)
                     current[finished] = -1
@@ -539,7 +409,7 @@ class BatchSimulator:
                 else:
                     cont = hit_g
                 current[cont] = big_trace[offsets[cont] + pos[cont]]
-                request_tick[cont] = t_lane[lane_of_core[cont]] + 1
+                request_tick[cont] = t + 1
             else:
                 cont = hit_g
 
@@ -548,14 +418,14 @@ class BatchSimulator:
 
             # grant fetches per lane (policy order, insert stamps)
             gc = [0] * B if probe_lanes else None
-            for b in step_list:
+            for b in active_lanes:
                 wf = will_fetch[b]
                 if not wf:
                     continue
                 granted = arbs[b].select(wf)
                 g0 = cs_l[b]
                 u0 = us_l[b]
-                base = t_l[b] * ss_l[b] + p_l[b]
+                base = t * ss_l[b] + p_l[b]
                 heap = heaps[b]
                 for gdx, i in enumerate(granted):
                     page = int(current[g0 + i])
@@ -574,11 +444,10 @@ class BatchSimulator:
 
             if probe_lanes:
                 for b in probe_lanes:
-                    if b in jumped or t_l[b] % probe_strides[b]:
+                    if t % probe_strides[b]:
                         continue
                     g0 = cs_l[b]
                     g1 = g0 + p_l[b]
-                    t = t_l[b]
                     lane_ready = ready_mask[g0:g1]
                     blocked = (current[g0:g1] >= 0) & ~lane_ready
                     stall_age = np.where(
@@ -599,14 +468,12 @@ class BatchSimulator:
                     for probe in probes_by_lane[b]:
                         probe.on_sample(sample)
 
-            t_lane[sl_arr] += 1
-            for b in step_list:
-                t_l[b] += 1
+            t += 1
             if any_max_ticks:
                 over = [
                     b
-                    for b in step_list
-                    if max_ticks[b] is not None and t_l[b] > max_ticks[b]
+                    for b in active_lanes
+                    if max_ticks[b] is not None and t > max_ticks[b]
                 ]
                 for b in over:
                     _abort(b, SimulationLimitError(
@@ -656,19 +523,17 @@ class BatchSimulator:
                         ]
 
         # Lanes share one wall clock, so each is charged the batch wall
-        # in proportion to the ticks it actually stepped (elided ticks
-        # cost no lockstep work): per-lane times sum to the batch wall,
-        # never to lanes x wall.
+        # in proportion to the ticks it stepped: per-lane times sum to
+        # the batch wall, never to lanes x wall.
         wall = time.perf_counter() - start
-        steps = [max(t_l[b] - ff_elided[b], 0) for b in range(B)]
-        total_steps = sum(steps)
+        total_steps = sum(stopped_at)
         for b in range(B):
             info = retire_info[b]
             if info is None:
                 continue
             ticks_b, makespan_b = info
             wall_b = (
-                wall * steps[b] / total_steps if total_steps else wall / B
+                wall * stopped_at[b] / total_steps if total_steps else wall / B
             )
             result = metrics[b].finalize(
                 makespan=makespan_b,
@@ -676,18 +541,10 @@ class BatchSimulator:
                 remap_count=getattr(arbs[b], "remap_count", 0),
                 config=self.lanes[b][1],
                 wall_time_s=wall_b,
-                ff_intervals=ff_intervals[b],
-                ff_elided_ticks=ff_elided[b],
             )
             for probe in probes_by_lane[b]:
                 probe.on_run_end(result)
             results[b] = result
-            drain.record_ff_engagement(
-                self.lanes[b][1].arbitration, ff_states[b]
-            )
-
-        if ff_wall:
-            _record_ff_phase(ff_wall)
         return results
 
 
@@ -719,9 +576,8 @@ class BatchResults(list):
     ``engines[i]`` names the engine item ``i`` ran on, taken from the
     plan that was executed: ``"batch"`` for a lockstep lane, ``"fast"``
     or ``"reference"`` for a solo run (the dispatch rule of
-    :func:`repro.core.simulate`, which sends contended jobs to the
-    reference engine), ``None`` where dispatch raises (``engine="fast"``
-    on an ineligible item).
+    :func:`repro.core.simulate`), ``None`` where dispatch raises
+    (``engine="fast"`` on an ineligible item).
     """
 
     def __init__(self, results: list[Any], engines: list[str | None]) -> None:
@@ -731,7 +587,7 @@ class BatchResults(list):
 
 def simulate_batch(
     items: Sequence[tuple[Any, SimulationConfig]],
-    engine: str | None = None,
+    engine: str = "auto",
     return_exceptions: bool = False,
 ) -> BatchResults:
     """Simulate many ``(traces, config)`` jobs, batching eligible ones.
@@ -739,9 +595,10 @@ def simulate_batch(
     Every item produces exactly what ``simulate(traces, config,
     engine=engine)`` would — the same :class:`SimulationResult` bit for
     bit, or the same exception. Items the dispatch rule sends to the
-    fast path and whose probes are passive run in one lockstep state;
-    the rest (contended jobs under ``"auto"``, ineligible ones, a lone
-    eligible item) run solo through :func:`simulate`. Results are returned in input order, as a
+    fast path (``engine="fast"``) and whose probes are passive run in
+    one lockstep state; the rest (every item under ``"auto"`` and
+    ``"reference"``, ineligible ones, a lone eligible item) run solo
+    through :func:`simulate`. Results are returned in input order, as a
     :class:`BatchResults` list whose ``engines`` names the engine of
     each item.
 

@@ -1,10 +1,10 @@
-"""Quiescent-interval fast-forward: bulk-drain planning for both engines.
+"""Quiescent-interval fast-forward: bulk-drain planning for the reference engine.
 
 Miss-bound stretches dominate the paper's adversarial workloads: every
 live core is blocked on DRAM and the far channels drain the request
 queue at ``q`` grants per tick. A tick-level simulator spends O(p) work
 per tick re-discovering that nothing changed; this module computes the
-entire drain in one step so the engines can jump the clock.
+entire drain in one step so the reference engine can jump the clock.
 
 The drain is *exact*, not approximate, because a miss-bound interval is
 deterministic once three facts are pinned down at its entry tick:

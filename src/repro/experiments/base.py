@@ -51,7 +51,6 @@ from typing import Any, Callable, Sequence
 
 from ..analysis.sweep import CampaignStats, SweepJob, SweepRecord, SweepRunner
 from ..core.engine import ENGINE_SEMANTICS_VERSION
-from ..core.fastengine import default_engine
 from ..analysis.telemetry import default_telemetry
 from ..obs.log import get_logger, warn_once
 from ..obs.manifest import host_info
@@ -411,7 +410,7 @@ def _campaign_manifest(out: ExperimentOutput, seed: int | None) -> dict[str, Any
         "title": out.title,
         "scale": out.scale,
         "seed": seed,
-        "engine": default_engine(),
+        "engine": "reference",
         "engine_semantics_version": ENGINE_SEMANTICS_VERSION,
         "host": host_info(),
         # plain bool: numpy bools from vectorized reducers are not

@@ -19,6 +19,7 @@ from .base import (
     lease_owner,
     open_store,
     parse_store_uri,
+    resolve_store_uri,
     set_store_default,
     sweep_result_key,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "lease_owner",
     "open_store",
     "parse_store_uri",
+    "resolve_store_uri",
     "set_store_default",
     "sweep_result_key",
 ]

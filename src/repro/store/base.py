@@ -41,6 +41,7 @@ import socket
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..core.engine import ENGINE_SEMANTICS_VERSION
@@ -54,6 +55,7 @@ __all__ = [
     "lease_is_stale",
     "lease_owner",
     "open_store",
+    "resolve_store_uri",
     "set_store_default",
     "sweep_result_key",
 ]
@@ -320,6 +322,25 @@ def default_store_uri() -> str | None:
     if _STORE_DEFAULT is not None:
         return _STORE_DEFAULT
     return os.environ.get(STORE_ENV) or None
+
+
+def resolve_store_uri(
+    store: str | None = None, cache_dir: str | os.PathLike | None = None
+) -> str | None:
+    """The result store a campaign or command runs against, as a URI.
+
+    Order: the explicit ``store``, then :func:`default_store_uri`
+    (``--store`` / ``REPRO_STORE``), then ``<cache_dir>/results``;
+    None when none is given, in which case a campaign stores nothing.
+    """
+    if store:
+        return store
+    uri = default_store_uri()
+    if uri is not None:
+        return uri
+    if cache_dir is None:
+        return None
+    return f"dir:{Path(cache_dir) / 'results'}"
 
 
 def parse_store_uri(uri: str) -> tuple[str, str]:

@@ -38,7 +38,6 @@ __all__ = [
     "save_workload_text",
     "load_workload_text",
     "WorkloadCache",
-    "default_cache_dir",
 ]
 
 
@@ -149,23 +148,15 @@ def load_workload_text(path: str | os.PathLike) -> Workload:
     )
 
 
-def default_cache_dir() -> Path:
-    """``$HBM_REPRO_CACHE`` or ``~/.cache/hbm-repro``."""
-    env = os.environ.get("HBM_REPRO_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "hbm-repro"
-
-
 class WorkloadCache:
     """Disk cache for generated workloads, keyed by generator parameters.
 
-    >>> cache = WorkloadCache()                         # doctest: +SKIP
+    >>> cache = WorkloadCache(".cache")                 # doctest: +SKIP
     >>> wl = cache.get("sort", threads=16, n=2000)      # doctest: +SKIP
     """
 
-    def __init__(self, directory: str | os.PathLike | None = None) -> None:
-        self.directory = Path(directory) if directory else default_cache_dir()
+    def __init__(self, directory: str | os.PathLike) -> None:
+        self.directory = Path(directory)
 
     def _key(self, kind: str, threads: int, seed: int, params: dict[str, Any]) -> str:
         blob = json.dumps(

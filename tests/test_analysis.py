@@ -15,12 +15,12 @@ from repro.analysis import (
     ratio_series,
     run_sweep,
     scatter_plot,
-    sweep_result_key,
     to_csv,
     write_csv,
 )
 from repro.analysis import sweep as sweep_mod
 from repro.core import SimulationConfig, Simulator, run_simulation
+from repro.store import sweep_result_key
 
 #: every engine-produced SweepRecord field; wall_time_s is excluded from
 #: cross-run comparisons because it is the one non-deterministic column.
@@ -162,13 +162,18 @@ class TestSweepDifferential:
                 assert getattr(s, name) == getattr(d, name)
 
     def test_forced_engines_agree(self, tmp_path):
+        # the sweep runs the reference engine; every forced engine must
+        # reproduce its records
+        from repro.core import simulate
+
         jobs = demo_jobs()
-        ref = run_sweep(jobs, processes=1, engine="reference")
-        fast = run_sweep(jobs, processes=1, engine="fast")
-        auto = run_sweep(jobs, processes=1, engine="auto")
-        for a, b, c in zip(ref, fast, auto):
-            for name in METRIC_FIELDS:
-                assert getattr(a, name) == getattr(b, name) == getattr(c, name)
+        swept = run_sweep(jobs, processes=1)
+        for job, record in zip(jobs, swept):
+            workload = job.workload.build()
+            for engine in ("reference", "fast", "auto"):
+                result = simulate(workload, job.config, engine=engine)
+                for name in METRIC_FIELDS:
+                    assert getattr(record, name) == getattr(result, name), name
 
 
 class TestResultCache:
@@ -443,6 +448,6 @@ class TestCampaignStats:
         payload = json.loads(entries[0].read_text())
         manifest = payload["manifest"]
         assert manifest["schema"] == "repro.obs.manifest/v1"
-        assert manifest["engine"] in ("fast", "reference")
+        assert manifest["engine"] == "reference"
         assert "workload_build_s" in manifest["timings"]
         assert "run_s" in manifest["timings"]

@@ -4,11 +4,12 @@ The batch engine holds the same bit-identical discipline as the
 fast-forward machinery (see ``tests/test_drain.py``): for every
 batch-eligible configuration, running B jobs in NumPy lockstep must
 produce exactly the ``SimulationResult`` (metrics, response logs, probe
-samples, fast-forward counters) that ``simulate()`` produces for each
-job alone. Ineligible lanes fall back to the single-job dispatcher
-mid-batch with no observable difference. The sweep harness runs every
-job on its own; a result store it wrote while it still formed lockstep
-units replays unchanged.
+samples) that the reference engine produces for each job alone. Only
+the fast-forward counters differ: lanes tick every tick, so theirs read
+0. Ineligible lanes fall back to the single-job dispatcher mid-batch
+with no observable difference. The sweep harness runs every job on its
+own; a result store it wrote while it still formed lockstep units
+replays unchanged.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import run_sweep
-from repro.analysis.sweep import SweepJob, WorkloadSpec
+from repro.analysis.sweep import SweepJob, SweepRecord, WorkloadSpec
 from repro.core import (
     ARBITRATION_POLICIES,
     ENGINE_SEMANTICS_VERSION,
@@ -54,14 +55,19 @@ FAMILIES = (
 )
 
 
+#: the reference engine's fast-forward counters; batch lanes read 0
+FF_FIELDS = ("ff_intervals", "ff_elided_ticks")
+
+
 def results_equal(a, b):
-    """Field-wise SimulationResult equality, ignoring wall_time_s.
+    """Field-wise SimulationResult equality, ignoring wall_time_s and
+    the fast-forward counters.
 
     ``response_log`` holds numpy arrays, so dataclass ``==`` is
     ambiguous; compare it element-wise and every other field exactly.
     """
     for f in dataclasses.fields(a):
-        if f.name == "wall_time_s":
+        if f.name == "wall_time_s" or f.name in FF_FIELDS:
             continue
         va, vb = getattr(a, f.name), getattr(b, f.name)
         if f.name == "response_log":
@@ -123,6 +129,7 @@ class TestDifferentialBattery:
         ):
             expected = simulate(straces, sconfig, engine="reference")
             assert results_equal(result, expected), config
+            assert result.ff_intervals == result.ff_elided_ticks == 0
             assert [s.to_dict() for s in bp.samples] == [
                 s.to_dict() for s in sp.samples
             ]
@@ -160,19 +167,31 @@ class TestEligibilityAndFallback:
             (w2, SimulationConfig(hbm_slots=8, seed=2, replacement="clock")),
             (w1, SimulationConfig(hbm_slots=10, seed=3, protect_pending=False)),
             (w2, SimulationConfig(hbm_slots=8, channels=2, seed=4)),
-            # working sets that fit in HBM: the only lanes auto batches
             (w1, SimulationConfig(hbm_slots=192, channels=2, seed=5)),
             (w2, SimulationConfig(hbm_slots=96, seed=6)),
+            # eligible, but a callback probe keeps it out of the lanes
+            (
+                w2,
+                SimulationConfig(
+                    hbm_slots=8, seed=7, probes=(CallbackProbe(lambda s: None),)
+                ),
+            ),
         ]
+        # auto runs every item solo on the reference engine
         batched = simulate_batch(items)
-        assert batched.engines == ["reference"] * 4 + ["batch"] * 2
+        assert batched.engines == ["reference"] * len(items)
         for (traces, config), result in zip(items, batched):
             assert results_equal(result, simulate(traces, config))
         forced = simulate_batch(items, engine="fast", return_exceptions=True)
-        assert forced.engines == ["batch", None, None, "batch", "batch", "batch"]
-        assert [isinstance(r, ValueError) for r in forced] == [
-            False, True, True, False, False, False
+        assert forced.engines == [
+            "batch", None, None, "batch", "batch", "batch", "fast"
         ]
+        assert [isinstance(r, ValueError) for r in forced] == [
+            False, True, True, False, False, False, False
+        ]
+        for (traces, config), result in zip(items, forced):
+            if not isinstance(result, ValueError):
+                assert results_equal(result, simulate(traces, config))
 
     def test_empty_trace_lanes(self):
         arr = np.array([0, 1, 2, 0, 1], dtype=np.int64)
@@ -228,13 +247,13 @@ BATCHED_STORE = Path(__file__).resolve().parent / "data" / "batched_store"
 
 
 class TestSweepIntegration:
-    """Sweep records match per-job simulation on every engine, and a
-    store written by lockstep lanes replays without simulating."""
+    """Sweep records match per-job simulation, and a store written by
+    lockstep lanes replays without simulating."""
 
     @staticmethod
     def _jobs():
-        # four jobs fit in HBM (8 x 24 pages <= 192 slots) and run on the
-        # fast engine; two are contended and run on the reference engine
+        # four jobs fit in HBM (8 x 24 pages <= 192 slots), two are
+        # contended, one is outside the fast engine's scope
         jobs = []
         for i in range(6):
             spec = WorkloadSpec.make("zipf", 8, seed=10 + i, length=200, pages=24)
@@ -263,11 +282,14 @@ class TestSweepIntegration:
     @pytest.mark.parametrize("processes", [1, 2])
     def test_records_identical(self, processes):
         jobs = self._jobs()
-        baseline = run_sweep(
-            jobs, processes=1, result_cache=False, engine="reference"
-        )
-        auto = run_sweep(jobs, processes=processes, result_cache=False)
-        assert [self._metrics(r) for r in auto] == [
+        baseline = [
+            SweepRecord.from_result(
+                job, simulate(job.workload.build(), job.config, engine="reference")
+            )
+            for job in jobs
+        ]
+        swept = run_sweep(jobs, processes=processes, result_cache=False)
+        assert [self._metrics(r) for r in swept] == [
             self._metrics(r) for r in baseline
         ]
 

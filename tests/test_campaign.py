@@ -13,7 +13,6 @@ from repro.analysis import (
     SweepRunner,
     WorkloadSpec,
     run_sweep,
-    sweep_result_key,
 )
 from repro.core import SimulationConfig
 from repro.experiments.base import (
@@ -24,6 +23,7 @@ from repro.experiments.base import (
     merge_campaign_stats,
     save_experiment_output,
 )
+from repro.store import sweep_result_key
 
 SPEC = WorkloadSpec.make("adversarial_cycle", threads=4, seed=0, pages=16, repeats=3)
 CONFIG = SimulationConfig(hbm_slots=32)
@@ -332,7 +332,8 @@ class TestWorkloadReuse:
 
     @pytest.mark.parametrize(
         "engine, slots",
-        # contended jobs on the reference engine / fitting ones on fast
+        # contended jobs / fitting ones; each record is checked against
+        # a fresh run on ``engine``
         [("reference", CONTENDED), ("auto", (64,) * 6)],
     )
     def test_each_spec_loaded_once_and_released(
@@ -348,9 +349,7 @@ class TestWorkloadReuse:
         # fill the on-disk workload cache; run with the result store off
         SweepRunner(processes=1, cache_dir=tmp_path).prepare(jobs)
         calls = self._spy(monkeypatch)
-        runner = SweepRunner(
-            processes=1, cache_dir=tmp_path, result_cache=False, engine=engine
-        )
+        runner = SweepRunner(processes=1, cache_dir=tmp_path, result_cache=False)
         records = runner.run(jobs)
         gc.collect()
         monkeypatch.undo()
@@ -369,11 +368,11 @@ class TestWorkloadReuse:
             return dataclasses.replace(record, wall_time_s=0.0)
 
         for job, record in zip(jobs, records):
-            fresh = simulate(job.workload.build(), job.config, engine="reference")
+            fresh = simulate(job.workload.build(), job.config, engine=engine)
             assert metrics(record) == metrics(SweepRecord.from_result(job, fresh))
 
     def test_cold_campaign_generates_each_spec_once(self, tmp_path, monkeypatch):
         calls = self._spy(monkeypatch)
         jobs = self._jobs(self.CONTENDED)
-        SweepRunner(processes=1, cache_dir=tmp_path, engine="reference").run(jobs)
+        SweepRunner(processes=1, cache_dir=tmp_path).run(jobs)
         assert (calls["load"], calls["make"]) == (0, 3)

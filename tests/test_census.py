@@ -95,7 +95,7 @@ class TestKnobCensus:
     def test_table_parses(self):
         rows = census_rows()
         assert ("env", "REPRO_STORE") in rows
-        assert ("repro run", "--engine") in rows
+        assert ("repro simulate", "--engine") in rows
 
     def test_table_matches_the_code(self):
         in_code = env_variables() | cli_options() | setters() | parameters()

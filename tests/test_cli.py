@@ -120,16 +120,16 @@ class TestRunCommands:
 
     def test_run_engine_flags_restore_defaults(self, capsys):
         from repro.analysis.sweep import _RESULT_CACHE_DEFAULT
-        from repro.core import default_engine
 
-        assert default_engine() == "auto"
-        code = main(
-            ["run", "thm4", "--engine", "reference", "--no-result-cache"]
-        )
+        # campaigns have no engine flag: every job runs on the reference
+        # engine
+        with pytest.raises(SystemExit):
+            main(["run", "thm4", "--engine", "reference"])
+        capsys.readouterr()
+        code = main(["run", "thm4", "--no-result-cache"])
         assert code == 0
         assert "[PASS]" in capsys.readouterr().out
         # module-level defaults must be restored after the command
-        assert default_engine() == "auto"
         from repro.analysis import sweep as sweep_mod
 
         assert sweep_mod._RESULT_CACHE_DEFAULT is _RESULT_CACHE_DEFAULT is True
@@ -311,11 +311,9 @@ class TestRunValidation:
     def test_bad_value_exits_2_and_leaves_defaults(self, flag, value, capsys):
         from repro.analysis import sweep as sweep_mod
         from repro.analysis.telemetry import default_telemetry
-        from repro.core import default_engine
         from repro.store.base import default_store_uri
 
         before = (
-            default_engine(),
             sweep_mod._RESULT_CACHE_DEFAULT,
             sweep_mod.set_execution_defaults(),
             default_store_uri(),
@@ -324,8 +322,6 @@ class TestRunValidation:
             [
                 "run",
                 "thm4",
-                "--engine",
-                "reference",
                 "--no-result-cache",
                 "--strict",
                 "--metrics-out",
@@ -338,7 +334,6 @@ class TestRunValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"bad {flag}: ")
         assert (
-            default_engine(),
             sweep_mod._RESULT_CACHE_DEFAULT,
             sweep_mod.set_execution_defaults(),
             default_store_uri(),

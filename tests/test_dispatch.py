@@ -1,10 +1,10 @@
 """The engine dispatch rule and the labels that report it.
 
-``engine="auto"`` runs a job on the fast path (solo, or as a lockstep
-lane of :func:`simulate_batch`) only when the job is eligible *and* its
-working set fits in HBM (``hbm_slots > attestation.max_page``); a
-contended job runs on the reference engine, which is the faster engine
-there. Every label the program writes — ``resolve_engine``,
+``engine="auto"`` runs every job on the reference engine, the only
+engine that fast-forwards, whether or not its working set fits in HBM.
+``engine="fast"`` runs an eligible job on the fast path (solo, or as a
+lockstep lane of :func:`simulate_batch`) and raises elsewhere. Every
+label the program writes — ``resolve_engine``,
 ``simulate_batch(...).engines``, the sweep manifest's ``engine`` and
 ``repro_engine_runs_total{engine}`` — must name the engine that ran.
 The sweep runs every job on its own and never calls the batch engine.
@@ -29,6 +29,7 @@ from repro.core import (
     simulate,
     simulate_batch,
 )
+from repro.obs import CallbackProbe
 from repro.obs.metrics import PHASE_METRIC
 from repro.traces import make_workload
 
@@ -43,9 +44,11 @@ def config(slots, seed=0, **kw):
 
 
 def assert_same_result(a, b):
-    """Field-wise equality ignoring wall time (no response logs here)."""
+    """Field-wise equality ignoring wall time and the fast-forward
+    counters, which only the reference engine fills (no response logs
+    here)."""
     for f in dataclasses.fields(a):
-        if f.name != "wall_time_s":
+        if f.name not in ("wall_time_s", "ff_intervals", "ff_elided_ticks"):
             assert getattr(a, f.name) == getattr(b, f.name), f.name
 
 
@@ -76,13 +79,22 @@ class TestRule:
         assert resolve_engine(WORKLOAD, config(CONTENDED)) == "reference"
         assert resolve_engine(WORKLOAD, config(FITS - 1)) == "reference"
 
-    def test_fitting_job_goes_to_fast(self):
-        assert resolve_engine(WORKLOAD, config(FITS)) == "fast"
+    def test_fitting_job_goes_to_reference(self):
+        assert resolve_engine(WORKLOAD, config(FITS)) == "reference"
+
+    def test_fitting_job_goes_to_fast(self, ran):
+        # only when asked for: engine="fast" still reaches the fast path
+        assert resolve_engine(WORKLOAD, config(FITS), "fast") == "fast"
+        simulate(WORKLOAD, config(FITS, seed=4), engine="fast")
+        assert ran == [("fast", 4)]
 
     def test_raw_arrays_follow_the_same_rule(self):
         traces = [[0, 1, 2], [3, 4]]
-        assert resolve_engine(traces, config(5)) == "fast"
+        assert resolve_engine(traces, config(5)) == "reference"
         assert resolve_engine(traces, config(4)) == "reference"
+        assert resolve_engine(traces, config(5), "fast") == "fast"
+        with pytest.raises(ValueError, match="fast"):
+            resolve_engine([[0, 1], [1]], config(5), "fast")
 
     def test_fast_still_forces_fast_on_contended_job(self, ran):
         assert resolve_engine(WORKLOAD, config(CONTENDED), "fast") == "fast"
@@ -102,8 +114,9 @@ class TestRule:
     def test_simulate_runs_the_resolved_engine(self, ran, engine_runs):
         simulate(WORKLOAD, config(CONTENDED, seed=1))
         simulate(WORKLOAD, config(FITS, seed=2))
-        assert ran == [("reference", 1), ("fast", 2)]
-        assert engine_runs() == {"reference": 1, "fast": 1}
+        simulate(WORKLOAD, config(FITS, seed=3), engine="fast")
+        assert ran == [("reference", 1), ("reference", 2), ("fast", 3)]
+        assert engine_runs() == {"reference": 2, "fast": 1}
 
 
 class TestBatchDispatch:
@@ -111,6 +124,16 @@ class TestBatchDispatch:
         return [
             (WORKLOAD, config(FITS if i % 2 else CONTENDED, seed=i))
             for i in range(7)
+        ]
+
+    def probed_items(self):
+        """mixed_items, the odd ones carrying a callback probe that
+        keeps them out of the lockstep lanes."""
+        return [
+            (traces, cfg.replace(probes=(CallbackProbe(lambda s: None),)))
+            if i % 2
+            else (traces, cfg)
+            for i, (traces, cfg) in enumerate(self.mixed_items())
         ]
 
     def assert_ran_as_labelled(self, ran, items, labels):
@@ -121,19 +144,23 @@ class TestBatchDispatch:
     def test_mixed_list_bit_identical_to_per_item(self, ran, engine_runs):
         items = self.mixed_items()
         batched = simulate_batch(items)
-        assert batched.engines == ["reference", "batch"] * 3 + ["reference"]
-        self.assert_ran_as_labelled(ran, items, batched.engines)
-        assert engine_runs() == {"reference": 4, "batch": 3}
+        assert batched.engines == ["reference"] * len(items)
+        assert engine_runs() == {"reference": len(items)}
+        items = self.probed_items()
+        batched = simulate_batch(items, engine="fast")
+        assert batched.engines == ["batch", "fast"] * 3 + ["batch"]
+        assert engine_runs() == {"reference": 7, "batch": 4, "fast": 3}
         for (traces, cfg), result in zip(items, batched):
             assert_same_result(result, simulate(traces, cfg))
 
     def test_lone_trailing_lane_is_labelled_fast(self, ran, engine_runs):
-        # one eligible item among contended ones runs solo on the fast path
-        items = self.mixed_items()[:3]
-        batched = simulate_batch(items)
-        assert batched.engines == ["reference", "fast", "reference"]
+        # one passive eligible item among probed ones runs solo on the
+        # fast path, not as a one-lane batch
+        items = self.probed_items()[1:4]
+        batched = simulate_batch(items, engine="fast")
+        assert batched.engines == ["fast", "fast", "fast"]
         self.assert_ran_as_labelled(ran, items, batched.engines)
-        assert engine_runs() == {"reference": 2, "fast": 1}
+        assert engine_runs() == {"fast": 3}
         for (traces, cfg), result in zip(items, batched):
             assert_same_result(result, simulate(traces, cfg))
 
@@ -160,19 +187,17 @@ class TestSweepLabels:
 
     @staticmethod
     def expected_runs(jobs):
-        return sorted(
-            ("fast" if job.config.hbm_slots == FITS else "reference", job.config.seed)
-            for job in jobs
-        )
+        return sorted(("reference", job.config.seed) for job in jobs)
 
     def test_solo_job_labels_name_the_engine_that_ran(self, ran, engine_runs):
-        sweep_mod._pool_init(None, None)
+        sweep_mod._pool_init(None)
         for job in self.jobs()[:2]:
             record, manifest = sweep_mod._run_job(job)
             assert manifest["engine"] == ran[-1][0]
             assert manifest["execution"] == {"attempt": 1}
-        assert [label for label, _ in ran] == ["reference", "fast"]
-        assert engine_runs() == {"reference": 1, "fast": 1}
+        # the second job fits in HBM and still runs on the reference engine
+        assert [label for label, _ in ran] == ["reference", "reference"]
+        assert engine_runs() == {"reference": 2}
 
     def test_single_process_campaign_labels(self, ran, engine_runs, monkeypatch):
         builds = []
@@ -188,7 +213,7 @@ class TestSweepLabels:
         # in-process, the five jobs' one spec is built once and shared
         assert len(builds) == 1
         assert sorted(ran) == self.expected_runs(jobs)  # each job ran once
-        assert engine_runs() == {"reference": 3, "fast": 2}
+        assert engine_runs() == {"reference": 5}
 
     @pytest.mark.parametrize("cache_dir", [False, True])
     def test_pool_campaign_runs_contended_jobs_as_their_own(
@@ -213,9 +238,7 @@ class TestSweepLabels:
         manifests = [
             json.loads(path.read_text())["manifest"] for path in store.glob("*.json")
         ]
-        assert sorted(m["engine"] for m in manifests) == ["fast"] * 2 + [
-            "reference"
-        ] * 3
+        assert [m["engine"] for m in manifests] == ["reference"] * 5
         assert all(m["execution"] == {"attempt": 1} for m in manifests)
 
 
@@ -261,10 +284,9 @@ class TestOneDispatchPath:
         assert len(builds()) - len(in_workers) == len(specs)
         assert len(in_workers) == len(jobs)
 
-    @pytest.mark.parametrize("engine", ["auto", "fast"])
     @pytest.mark.parametrize("processes", [1, 2])
     def test_campaign_never_calls_the_batch_engine(
-        self, tmp_path, monkeypatch, processes, engine
+        self, tmp_path, monkeypatch, processes
     ):
         import repro.core.batchengine as batchengine
 
@@ -280,9 +302,7 @@ class TestOneDispatchPath:
             )
             for i in range(6)
         ]
-        records = SweepRunner(
-            processes=processes, result_cache=False, engine=engine
-        ).run(jobs)
+        records = SweepRunner(processes=processes, result_cache=False).run(jobs)
         assert not any(r.failed for r in records)
         assert calls() == [] and lockstep() == []
 
@@ -307,7 +327,7 @@ class TestPhaseLedger:
         start = time.perf_counter()
         SweepRunner(processes=1, result_cache=False).run(jobs)
         wall = time.perf_counter() - start
-        assert engine_runs() == {"fast": 8, "reference": 4}
+        assert engine_runs() == {"reference": 12}
         phases = {
             dict(key)["phase"]: cell["sum"]
             for key, cell in registry.families()[PHASE_METRIC].series().items()

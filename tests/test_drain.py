@@ -1,11 +1,14 @@
 """Quiescent-interval fast-forward: FF-on runs are bit-identical to FF-off.
 
-The contract under test (repro.core.drain + the engine hooks): with
-fast-forward enabled, both engines must produce *exactly* the results
-of per-tick execution — makespan, tick count, response histograms and
-logs, eviction/fetch counts, completion ticks, and every probe sample —
-while eliding most of the miss-bound ticks. ``ENGINE_SEMANTICS_VERSION``
-does not change when FF ships; these tests are the enforcement.
+The contract under test (repro.core.drain + the reference engine's
+hooks): with fast-forward enabled, the reference engine must produce
+*exactly* the results of per-tick execution — makespan, tick count,
+response histograms and logs, eviction/fetch counts, completion ticks,
+and every probe sample — while eliding most of the miss-bound ticks.
+The fence is three-way: reference with FF = reference without FF =
+:class:`FastSimulator`, an independent implementation that ticks every
+tick. ``ENGINE_SEMANTICS_VERSION`` does not change when FF ships; these
+tests are the enforcement.
 """
 
 import dataclasses
@@ -29,6 +32,8 @@ from repro.core.fastengine import FastSimulator
 from repro.obs import TimelineProbe
 from repro.traces import make_workload
 
+#: the engine that fast-forwards, and the FF-free fast engine every
+#: FF-on run must also equal
 ENGINES = [Simulator, FastSimulator]
 
 ALL_POLICIES = [
@@ -90,14 +95,17 @@ def assert_results_equal(a, b):
 
 
 def assert_ff_identical(traces, cfg, expect_ff=True):
-    """Run both engines with FF off and on; everything must match."""
+    """Reference with FF on = reference with FF off = the fast engine;
+    with ``expect_ff`` the reference engine must also fast-forward."""
     baseline = run_with_ff(Simulator, traces, cfg, False)
     assert baseline.ff_intervals == 0
     assert baseline.ff_elided_ticks == 0
     for engine_cls in ENGINES:
         result = run_with_ff(engine_cls, traces, cfg, True)
         assert_results_equal(result, baseline)
-        if expect_ff and engine_cls is FastSimulator:
+        if engine_cls is FastSimulator:
+            assert result.ff_intervals == result.ff_elided_ticks == 0
+        elif expect_ff:
             assert result.ff_intervals > 0
             assert 0 < result.ff_elided_fraction <= 1.0
             assert result.ff_elided_ticks <= result.ticks
@@ -174,6 +182,8 @@ class TestBitIdentical:
         assert_ff_identical(miss_bound_traces(threads=16, pages=8), cfg)
 
     def test_vector_path_wide_workload(self):
+        # 32 cores with the crossover at 4: the fast engine's vector
+        # path is the fence for the reference engine's wide intervals
         from repro.core.fastengine import set_vector_threshold
 
         previous = set_vector_threshold(4)
@@ -284,11 +294,12 @@ class TestHitHeavy:
         traces = hit_heavy_traces()
         cfg = policy_config(arb)
         baseline = run_with_ff(Simulator, traces, cfg, False)
-        for engine_cls in ENGINES:
-            result = run_with_ff(engine_cls, traces, cfg, True)
+        results = {cls: run_with_ff(cls, traces, cfg, True) for cls in ENGINES}
+        for result in results.values():
             assert_results_equal(result, baseline)
-            assert result.ff_intervals > 0
-            assert result.ff_elided_fraction > 0.5
+        assert results[FastSimulator].ff_intervals == 0
+        assert results[Simulator].ff_intervals > 0
+        assert results[Simulator].ff_elided_fraction > 0.5
 
     @pytest.mark.parametrize("engine_cls", ENGINES)
     def test_completion_inside_hit_window(self, engine_cls):
@@ -344,9 +355,10 @@ class TestProbeSeries:
     @pytest.mark.parametrize("stride", [1, 7])
     @pytest.mark.parametrize("engine_cls", ENGINES)
     def test_probe_series_identical(self, stride, engine_cls):
+        # baseline: the reference engine ticking every tick
         traces = miss_bound_traces(threads=6, pages=8)
         series = {}
-        for enabled in (False, True):
+        for enabled, cls in ((False, Simulator), (True, engine_cls)):
             probe = TimelineProbe()
             cfg = SimulationConfig(
                 hbm_slots=18,
@@ -354,7 +366,7 @@ class TestProbeSeries:
                 probes=(probe,),
                 probe_stride=stride,
             )
-            run_with_ff(engine_cls, traces, cfg, enabled)
+            run_with_ff(cls, traces, cfg, enabled)
             series[enabled] = probe.as_arrays()
         assert series[False].keys() == series[True].keys()
         for key in series[False]:
@@ -367,7 +379,7 @@ class TestProbeSeries:
     def test_probe_series_identical_inside_hit_windows(self, stride, engine_cls):
         traces = hit_heavy_traces(threads=4, pages=12, repeats=40)
         series = {}
-        for enabled in (False, True):
+        for enabled, cls in ((False, Simulator), (True, engine_cls)):
             probe = TimelineProbe()
             cfg = SimulationConfig(
                 hbm_slots=128,
@@ -375,8 +387,8 @@ class TestProbeSeries:
                 probes=(probe,),
                 probe_stride=stride,
             )
-            result = run_with_ff(engine_cls, traces, cfg, enabled)
-            if enabled:
+            result = run_with_ff(cls, traces, cfg, enabled)
+            if enabled and cls is Simulator:
                 assert result.ff_elided_fraction > 0.5
             series[enabled] = probe.as_arrays()
         assert series[False].keys() == series[True].keys()
@@ -391,7 +403,7 @@ class TestProbeSeries:
             hbm_slots=18, channels=2, probes=(probe,), probe_stride=7
         )
         result = run_with_ff(
-            FastSimulator, miss_bound_traces(threads=6, pages=8), cfg, True
+            Simulator, miss_bound_traces(threads=6, pages=8), cfg, True
         )
         assert result.ff_intervals > 0
         assert len(probe.samples) > 0
@@ -546,7 +558,7 @@ class TestKnobs:
 class TestStats:
     def test_ff_stats_populated_and_bounded(self):
         cfg = SimulationConfig(hbm_slots=24, channels=2)
-        result = run_with_ff(FastSimulator, miss_bound_traces(), cfg, True)
+        result = run_with_ff(Simulator, miss_bound_traces(), cfg, True)
         assert result.ff_intervals > 0
         assert result.ff_elided_ticks > 0
         assert result.ff_elided_ticks <= result.ticks
@@ -556,7 +568,7 @@ class TestStats:
 
     def test_ff_stats_zero_when_disabled(self):
         cfg = SimulationConfig(hbm_slots=24, channels=2)
-        result = run_with_ff(FastSimulator, miss_bound_traces(), cfg, False)
+        result = run_with_ff(Simulator, miss_bound_traces(), cfg, False)
         assert result.ff_intervals == 0
         assert result.ff_elided_ticks == 0
         assert result.ff_elided_fraction == 0.0
@@ -574,8 +586,8 @@ class TestStats:
         from repro.obs import RunManifest
 
         cfg = SimulationConfig(hbm_slots=24, channels=2)
-        result = run_with_ff(FastSimulator, miss_bound_traces(), cfg, True)
-        manifest = RunManifest.build(cfg, "fast", result=result)
+        result = run_with_ff(Simulator, miss_bound_traces(), cfg, True)
+        manifest = RunManifest.build(cfg, "reference", result=result)
         assert manifest.result["ff_intervals"] == result.ff_intervals
         assert manifest.result["ff_elided_ticks"] == result.ff_elided_ticks
         assert (
@@ -607,14 +619,14 @@ class TestEngagementCounters:
 
     def test_miss_window_attempts_recorded(self, _registry):
         cfg = SimulationConfig(hbm_slots=24, channels=2)
-        run_with_ff(FastSimulator, miss_bound_traces(), cfg, True)
+        run_with_ff(Simulator, miss_bound_traces(), cfg, True)
         attempts = self._series(_registry, "repro_ff_plan_attempts")
         key = frozenset({("policy", "fifo"), ("window", "miss")})
         assert attempts.get(key, 0) > 0
 
     def test_hit_window_attempts_recorded(self, _registry):
         cfg = policy_config("round_robin")
-        run_with_ff(FastSimulator, hit_heavy_traces(), cfg, True)
+        run_with_ff(Simulator, hit_heavy_traces(), cfg, True)
         attempts = self._series(_registry, "repro_ff_plan_attempts")
         key = frozenset({("policy", "round_robin"), ("window", "hit")})
         assert attempts.get(key, 0) > 0
@@ -625,7 +637,7 @@ class TestEngagementCounters:
         cfg = SimulationConfig(
             hbm_slots=24, channels=2, arbitration="random", seed=3
         )
-        run_with_ff(FastSimulator, miss_bound_traces(), cfg, True)
+        run_with_ff(Simulator, miss_bound_traces(), cfg, True)
         key = frozenset({("policy", "random"), ("window", "miss")})
         attempts = self._series(_registry, "repro_ff_plan_attempts")
         declines = self._series(_registry, "repro_ff_plan_declines")
@@ -633,7 +645,11 @@ class TestEngagementCounters:
         assert declines.get(key, 0) == attempts.get(key, 0)
 
     def test_reference_engine_records_too(self, _registry):
+        # ... and only the reference engine: the fast engine never
+        # attempts a window
         cfg = SimulationConfig(hbm_slots=24, channels=2)
+        run_with_ff(FastSimulator, miss_bound_traces(), cfg, True)
+        assert self._series(_registry, "repro_ff_plan_attempts") == {}
         run_with_ff(Simulator, miss_bound_traces(), cfg, True)
         attempts = self._series(_registry, "repro_ff_plan_attempts")
         key = frozenset({("policy", "fifo"), ("window", "miss")})
@@ -645,7 +661,7 @@ class TestEngagementCounters:
         previous = obs_metrics.set_active_registry(None)
         try:
             cfg = SimulationConfig(hbm_slots=24, channels=2)
-            result = run_with_ff(FastSimulator, miss_bound_traces(), cfg, True)
+            result = run_with_ff(Simulator, miss_bound_traces(), cfg, True)
             assert result.ff_intervals > 0
         finally:
             obs_metrics.set_active_registry(previous)

@@ -1,4 +1,8 @@
-"""FastSimulator must be bit-identical to the reference Simulator."""
+"""FastSimulator must be bit-identical to the reference Simulator.
+
+The fast engine ticks every tick (it does not fast-forward), so these
+batteries compare the reference engine, fast-forward on, against an
+independent tick-by-tick implementation."""
 
 import numpy as np
 import pytest
@@ -8,9 +12,8 @@ from hypothesis import strategies as st
 from repro.core import SimulationConfig, Simulator
 from repro.core.fastengine import (
     ENGINE_CHOICES,
+    VECTOR_THRESHOLD,
     FastSimulator,
-    default_engine,
-    set_default_engine,
     simulate,
 )
 from repro.traces import PageAttestation, make_workload
@@ -29,6 +32,7 @@ def assert_identical(traces, config):
     for a, b in zip(fast.thread_stats, ref.thread_stats):
         assert a.response == b.response
     assert fast.remap_count == ref.remap_count
+    assert fast.ff_intervals == fast.ff_elided_ticks == 0
     return fast
 
 
@@ -52,7 +56,7 @@ class TestScopeGuard:
         assert result.total_requests == 3
 
     def test_simulate_uses_fast_path_when_possible(self):
-        result = simulate([[0, 1], [10]], SimulationConfig(hbm_slots=4))
+        result = simulate([[0, 1], [10]], SimulationConfig(hbm_slots=4), engine="fast")
         assert result.total_requests == 3
 
 
@@ -127,14 +131,15 @@ class TestHandCases:
     @pytest.mark.parametrize("q", [1, 2, 4])
     def test_adversarial_fifo_family_matrix(self, arb, q):
         # Miss-bound cyclic workload: the fast-forward's home turf. The
-        # full ref-vs-fast battery must hold with FF engaged end to end.
+        # full ref-vs-fast battery must hold with the reference engine's
+        # FF engaged end to end.
         wl = make_workload("adversarial_cycle", threads=6, pages=10, repeats=5)
         cfg = SimulationConfig(
             hbm_slots=20, channels=q, arbitration=arb, remap_period=37, seed=2
         )
-        fast = assert_identical(wl.traces, cfg)
+        assert_identical(wl.traces, cfg)
         if arb in ("fifo", "priority"):
-            assert fast.ff_intervals > 0
+            assert Simulator(wl.traces, cfg).run().ff_intervals > 0
 
 
 class TestVectorPathExercised:
@@ -270,17 +275,6 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="engine"):
             simulate([[0]], SimulationConfig(hbm_slots=2), engine="warp")
 
-    def test_set_default_engine_round_trip(self):
-        previous = set_default_engine("reference")
-        try:
-            assert previous == "auto"
-            assert default_engine() == "reference"
-            with pytest.raises(ValueError):
-                set_default_engine("warp")
-        finally:
-            set_default_engine(previous)
-        assert default_engine() == "auto"
-
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -316,7 +310,7 @@ def test_fast_matches_reference_wide(seed):
 
 
 class TestVectorThreshold:
-    """vector_threshold(): override > env > calibrated measurement."""
+    """vector_threshold(): the override, else VECTOR_THRESHOLD."""
 
     @pytest.fixture(autouse=True)
     def _restore(self):
@@ -348,12 +342,11 @@ class TestVectorThreshold:
         return captured, logger, handler
 
     @pytest.mark.parametrize("bad", [0, -3, "nope"])
-    def test_setter_warns_and_clears_on_invalid(self, bad, monkeypatch):
+    def test_setter_warns_and_clears_on_invalid(self, bad):
         # a perf-only knob must never abort a run: invalid values warn
-        # once and fall back to env/calibration resolution
+        # once and fall back to the documented constant
         from repro.core.fastengine import set_vector_threshold, vector_threshold
 
-        monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", "33")
         captured, logger, handler = self._capture_core_warnings()
         try:
             set_vector_threshold(10)
@@ -362,29 +355,16 @@ class TestVectorThreshold:
             logger.removeHandler(handler)
         assert len(captured) == 1
         assert "vector threshold" in captured[0]
-        # override cleared, not kept: env resolution is back in force
-        assert vector_threshold() == 33
+        # override cleared, not kept: the constant is back in force
+        assert vector_threshold() == VECTOR_THRESHOLD
 
     def test_env_variable(self, monkeypatch):
+        # the crossover is no environment knob: without an override it
+        # is the constant, whatever REPRO_VECTOR_THRESHOLD says
         from repro.core.fastengine import vector_threshold
 
         monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", "17")
-        assert vector_threshold() == 17
-
-    @pytest.mark.parametrize("bad", ["seventeen", "-4", "0", "1.5"])
-    def test_invalid_env_warns_and_uses_calibration(self, monkeypatch, bad):
-        from repro.core import fastengine
-
-        monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", bad)
-        captured, logger, handler = self._capture_core_warnings()
-        try:
-            value = fastengine.vector_threshold()
-            fastengine.vector_threshold()  # second call: warn once only
-        finally:
-            logger.removeHandler(handler)
-        assert 8 <= value <= 96  # calibrated fallback, not a crash
-        assert len(captured) == 1
-        assert "REPRO_VECTOR_THRESHOLD" in captured[0]
+        assert vector_threshold() == VECTOR_THRESHOLD
 
     def test_override_beats_env(self, monkeypatch):
         from repro.core.fastengine import set_vector_threshold, vector_threshold
@@ -392,16 +372,6 @@ class TestVectorThreshold:
         monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", "17")
         set_vector_threshold(9)
         assert vector_threshold() == 9
-
-    def test_calibration_is_clamped_and_cached(self, monkeypatch):
-        from repro.core import fastengine
-
-        monkeypatch.delenv("REPRO_VECTOR_THRESHOLD", raising=False)
-        value = fastengine.vector_threshold()
-        assert 8 <= value <= 96
-        # second call must reuse the cached measurement
-        assert fastengine._calibrated_threshold == value
-        assert fastengine.vector_threshold() == value
 
     def test_results_do_not_depend_on_threshold(self):
         from repro.core.fastengine import set_vector_threshold

@@ -17,7 +17,6 @@ import pytest
 
 from repro.analysis import (
     CampaignStats,
-    DirectoryStore,
     SweepFailure,
     SweepJob,
     SweepRunner,
@@ -26,11 +25,11 @@ from repro.analysis import (
     run_sweep,
     set_execution_defaults,
     set_fault_plan,
-    sweep_result_key,
 )
 from repro.analysis.faults import FaultSpec, InjectedFault, maybe_inject
 from repro.analysis.sweep import JobTimeout, _job_deadline
 from repro.core import SimulationConfig
+from repro.store import DirectoryStore, sweep_result_key
 
 #: deterministic engine-produced fields (wall_time_s varies per run)
 METRIC_FIELDS = (

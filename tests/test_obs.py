@@ -16,7 +16,6 @@ import logging
 import numpy as np
 import pytest
 
-from repro.analysis import sweep_result_key
 from repro.core import SimulationConfig, resolve_engine, simulate
 from repro.obs import (
     CallbackProbe,
@@ -31,6 +30,7 @@ from repro.obs import (
     write_timeline_jsonl,
 )
 from repro.obs.trace import _stall_slices
+from repro.store import sweep_result_key
 from repro.traces import make_workload
 
 #: (kind, params) for the differential matrix: a synthetic skewed

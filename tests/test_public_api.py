@@ -109,3 +109,11 @@ def test_import_leaves_asyncio_out():
         "sys.exit('asyncio' in sys.modules)"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_store_api_has_one_import_path():
+    """The result-store API is imported from ``repro.store`` only."""
+    import repro.analysis
+    import repro.store
+
+    assert not set(repro.analysis.__all__) & set(repro.store.__all__)

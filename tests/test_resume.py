@@ -15,18 +15,10 @@ from pathlib import Path
 import pytest
 
 from repro._cli import main
-from repro.analysis import (
-    DirectoryStore,
-    SQLiteStore,
-    SweepJob,
-    SweepRunner,
-    WorkloadSpec,
-    open_store,
-    set_fault_plan,
-    sweep_result_key,
-)
+from repro.analysis import SweepJob, SweepRunner, WorkloadSpec, set_fault_plan
 from repro.analysis.faults import parse_fault_plan
 from repro.core import SimulationConfig
+from repro.store import DirectoryStore, open_store, sweep_result_key
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -318,6 +310,54 @@ class TestCliCache:
     def test_scope_flags_are_exclusive(self):
         with pytest.raises(SystemExit):
             main(["cache", "stats", "--results-only", "--workloads-only"])
+
+
+class TestOneStoreRule:
+    """``run``, ``cache`` and ``run --resume`` find their result store by
+    one rule: ``--store``, else ``REPRO_STORE``, else
+    ``<cache-dir>/results``; with none of them there is no store."""
+
+    def test_run_cache_and_resume_share_the_cache_dir_store(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.analysis.sweep as sweep_mod
+
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        cache = tmp_path / "cache"
+        common = ["--processes", "1", "--cache-dir", str(cache)]
+        assert main(["run", "thm2", *common]) == 0
+        capsys.readouterr()
+        store = open_store(f"dir:{cache / 'results'}")
+        entries, campaigns = len(store), store.list_campaigns()
+        store.close()
+        assert entries > 0 and campaigns
+
+        assert main(["cache", "stats", "--cache-dir", str(cache)]) == 0
+        out = capsys.readouterr().out
+        assert f"dir:{cache / 'results'}: {entries} entries" in out
+
+        simulated = []
+        real = sweep_mod.simulate
+
+        def counting(*args, **kwargs):
+            simulated.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "simulate", counting)
+        for campaign_id in campaigns:
+            assert main(["run", "--resume", campaign_id, *common]) == 0
+        assert simulated == []
+
+    def test_no_store_exits_2(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        for argv, what in (
+            (["cache", "stats"], "result store"),
+            (["run", "--resume", "any"], "result store"),
+            (["cache", "stats", "--workloads-only"], "workload cache"),
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith(f"no {what}")
 
 
 class TestManifestLineage:

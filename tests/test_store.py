@@ -11,22 +11,24 @@ import time
 import pytest
 
 from repro.analysis import (
-    CampaignCheckpoint,
-    DirectoryStore,
-    SQLiteStore,
     SweepJob,
     SweepRunner,
     WorkloadSpec,
-    campaign_id_for,
-    open_store,
-    set_store_default,
     sweep_job_from_dict,
     sweep_job_to_dict,
-    sweep_result_key,
 )
 from repro.analysis.sweep import PayloadRequest, parse_shard
 from repro.core import SimulationConfig
-from repro.store import parse_store_uri
+from repro.store import (
+    CampaignCheckpoint,
+    DirectoryStore,
+    SQLiteStore,
+    campaign_id_for,
+    open_store,
+    parse_store_uri,
+    set_store_default,
+    sweep_result_key,
+)
 from repro.store.base import STORE_ENV, default_store_uri, lease_is_stale
 
 #: engine-produced fields that are deterministic across runs
