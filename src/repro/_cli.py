@@ -51,7 +51,7 @@ from .analysis import (
     sweep_job_from_dict,
     write_csv,
 )
-from .core import ENGINE_CHOICES, SimulationConfig, simulate
+from .core import SimulationConfig, simulate
 from .experiments import EXPERIMENTS, experiment_ids, run_experiment
 from .obs import (
     TimelineProbe,
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--manifest", default=None, metavar="PATH",
         help="write a run manifest (JSON) to PATH",
     )
-    _add_engine_flag(sim_p)
 
     trace_p = sub.add_parser(
         "trace",
@@ -275,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-ascii", action="store_true",
         help="skip the terminal timeline rendering",
     )
-    _add_engine_flag(trace_p)
 
     prof_p = sub.add_parser(
         "profile", help="locality characterization of a workload"
@@ -345,15 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="touch only the generated-workload cache",
     )
     return parser
-
-
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=ENGINE_CHOICES, default="auto",
-        help="simulator engine: 'auto' and 'reference' run the reference "
-        "engine, 'fast' the vectorized engine (LRU, disjoint traces "
-        "only; default: auto)",
-    )
 
 
 def _parse_params(items: list[str]) -> dict:
@@ -658,9 +647,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         **_blacklist_kwargs(args),
     )
     print(workload)
-    result = simulate(
-        workload, config, engine=args.engine, manifest_path=args.manifest
-    )
+    result = simulate(workload, config, manifest_path=args.manifest)
     print(result.summary())
     if args.verbose > 0:
         print(
@@ -736,11 +723,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     out_dir = Path(args.output_dir or f"trace-{args.workload}")
     out_dir.mkdir(parents=True, exist_ok=True)
     print(workload)
-    result = simulate(
-        workload, config,
-        engine=args.engine,
-        manifest_path=out_dir / "manifest.json",
-    )
+    result = simulate(workload, config, manifest_path=out_dir / "manifest.json")
     run_name = f"{args.workload} x {args.arbitration}/{args.replacement}"
     trace_path = write_chrome_trace(
         probe, out_dir / "trace.json", name=run_name,

@@ -48,6 +48,7 @@ the identity, so thread 0 is served first).
 
 from __future__ import annotations
 
+import copy
 import heapq
 from abc import ABC, abstractmethod
 from collections import deque
@@ -100,6 +101,16 @@ class ArbitrationPolicy(ABC):
     #: set it on any policy whose constructor requires ``remap_period``.
     requires_remap_period: bool = False
 
+    #: Opt-in to the fast-forward's drain plans (:meth:`drain_plan`).
+    #: Set it when ``select``, ``enqueue`` and ``begin_tick`` keep all
+    #: their state in instance attributes that :class:`DrainPlan` can
+    #: copy. Every built-in policy except ``random`` sets it.
+    plannable: bool = False
+
+    #: True when ``enqueue`` needs the requested page (FR-FCFS): the
+    #: planner then feeds each planned arrival its page.
+    needs_pages: bool = False
+
     def __init__(self, num_threads: int) -> None:
         if num_threads < 1:
             raise ValueError(f"num_threads must be >= 1, got {num_threads}")
@@ -128,25 +139,17 @@ class ArbitrationPolicy(ABC):
         """Current thread-id -> rank map, or ``None`` for rankless policies."""
         return None
 
-    def drain_plan(self, limit: int, horizon: int) -> "DrainPlan | None":
-        """A committable snapshot of future grant order, or ``None``.
+    def drain_plan(self, horizon: int) -> "DrainPlan | None":
+        """A :class:`DrainPlan` over ticks ``[now, horizon)``, or ``None``.
 
-        The reference engine's quiescent-interval fast-forward asks the policy to
-        predict its own ``select`` sequence: the returned plan must pop
-        and push exactly as the live policy would over ticks in
-        ``[now, plan.horizon)``. ``begin_tick`` effects inside that
-        range must either be absent, or replayed by the plan itself via
-        its ``tick_hook`` (the priority family replays remaps this
-        way). ``limit`` is the per-tick grant cap the engine will use.
-
-        The default is ``None``: the engine falls back to per-tick
-        execution, which is always correct. Every built-in policy
-        except ``random`` overrides this; custom policies may opt in
-        the same way, and subclasses of an opted-in policy that add
-        per-tick ``begin_tick`` effects must override it back to
-        ``None``.
+        The reference engine's quiescent-interval fast-forward plans an
+        interval by running this policy's own ``select``, ``enqueue``
+        and ``begin_tick`` on a copy, so the plan is exact for any
+        subclass. It is offered only to policies that set
+        :attr:`plannable`; the default ``None`` makes the engine tick
+        every tick, which is always correct.
         """
-        return None
+        return DrainPlan(self, horizon) if self.plannable else None
 
     def skip_idle_ticks(self, start: int, end: int) -> bool:
         """Apply ``begin_tick`` effects for elided ticks ``(start, end)``.
@@ -168,476 +171,106 @@ class ArbitrationPolicy(ABC):
 
 
 class DrainPlan:
-    """Interface of the object :meth:`ArbitrationPolicy.drain_plan` returns.
+    """A committable copy of a policy, for planning its future grants.
 
-    A plan owns a *copy* of the policy's queue state. The engine pops
-    and pushes against the copy while planning an interval; if the
-    interval is committed, :meth:`commit` installs the final state back
-    into the policy in one step, otherwise the plan is discarded and
-    the policy is untouched.
+    :func:`repro.core.drain.plan_drain` pops and pushes against a
+    *copy* of the live policy while it plans an interval: :meth:`pop`,
+    :meth:`push` and :attr:`tick_hook` run the copy's own ``select``,
+    ``enqueue`` and ``begin_tick``, so the planned grant order is the
+    policy's by construction, for any subclass. If the interval is
+    committed, :meth:`commit` installs the copy's state into the live
+    policy in one step; otherwise the plan is discarded and the policy
+    is untouched.
+
+    Every instance attribute is copied: containers and arrays
+    shallowly (through :func:`copy.copy`, so other objects with a
+    ``__copy__`` copy themselves), and an ``np.random.Generator`` is
+    cloned from its bit-generator state. :meth:`commit` advances the
+    live Generator in place instead of swapping it, because the engine
+    shares that object with the replacement policy.
     """
 
-    #: first tick (exclusive bound) the plan's grant order may be wrong
-    #: at — e.g. the policy's next remap boundary.
-    horizon: int = 0
+    __slots__ = (
+        "_policy",
+        "_copy",
+        "_rngs",
+        "horizon",
+        "pop",
+        "tick_hook",
+        "supports_bulk",
+        "needs_pages",
+    )
 
-    #: True when the plan is a pure FIFO stream: grants come off the
-    #: front in stored order and arrival batches append at the back.
-    #: Enables the planner's vectorized steady-state segment
-    #: (:func:`repro.core.drain.plan_drain`), which then reads the
-    #: whole order via :meth:`snapshot` and installs the post-segment
-    #: order via :meth:`replace`. Rank-driven plans must leave this
-    #: False — their grant order is not a function of arrival order.
-    supports_bulk: bool = False
+    def __init__(self, policy: "ArbitrationPolicy", horizon: int) -> None:
+        cls = type(policy)
+        shadow = object.__new__(cls)
+        state = vars(shadow)
+        rngs: list[str] = []
+        for name, value in vars(policy).items():
+            if isinstance(value, np.random.Generator):
+                bit_gen = value.bit_generator
+                clone = type(bit_gen)()
+                clone.state = bit_gen.state
+                state[name] = np.random.Generator(clone)
+                rngs.append(name)
+            else:
+                state[name] = copy.copy(value)
+        self._policy = policy
+        self._copy = shadow
+        self._rngs = rngs
+        #: first tick (exclusive bound) the plan's grant order may be
+        #: wrong at
+        self.horizon = horizon
+        #: what ``select(limit)`` would return next
+        self.pop = shadow.select
+        #: ``tick_hook(tau)`` replays ``begin_tick`` on the copy; None
+        #: when the policy inherits the no-op
+        self.tick_hook = (
+            None
+            if cls.begin_tick is ArbitrationPolicy.begin_tick
+            else shadow.begin_tick
+        )
+        #: the planner's vectorized FIFO segment reads and rewrites the
+        #: queue through :meth:`snapshot` / :meth:`replace`; only plain
+        #: FIFO's grant order is that closed form
+        self.supports_bulk = cls is FIFOArbitration
+        self.needs_pages = policy.needs_pages
 
-    #: Optional per-tick callback ``tick_hook(tau)``: the planner calls
-    #: it once per planned tick (mirroring where ``begin_tick`` runs in
-    #: the live loop) so a plan can replay deterministic ``begin_tick``
-    #: effects — e.g. remap-boundary rank permutations — inside the
-    #: planned copy. ``None`` means the plan has nothing to replay.
-    tick_hook = None
-
-    #: True when :meth:`push` needs the requested page for each pushed
-    #: thread (address-aware plans, e.g. FR-FCFS). The planner then
-    #: passes per-thread page streams; engines that cannot supply pages
-    #: must treat such a plan as unavailable.
-    needs_pages: bool = False
-
-    def __len__(self) -> int:  # pragma: no cover - interface default
-        raise NotImplementedError
+    def __len__(self) -> int:
+        return len(self._copy)
 
     def snapshot(self) -> "list[int] | None":
         """The full pending order front-to-back (bulk-capable plans only)."""
-        return None
+        return list(self._copy._queue) if self.supports_bulk else None
 
     def replace(self, threads: "list[int]") -> None:
         """Overwrite the pending order (bulk-capable plans only)."""
-        raise NotImplementedError
-
-    def pop(self, limit: int) -> list[int]:
-        """What ``select(limit)`` would return next."""
-        raise NotImplementedError
+        if not self.supports_bulk:
+            raise NotImplementedError("only a FIFO plan has a bulk order")
+        self._copy._queue = deque(threads)
 
     def push(self, threads: list[int], pages: "list[int] | None" = None) -> None:
-        """Mirror of ``enqueue`` for a same-tick batch (core-id sorted).
+        """``enqueue`` a same-tick batch (core-id sorted) on the copy.
 
-        ``pages`` carries the requested page per thread; only plans
-        with :attr:`needs_pages` set consume it.
+        ``pages`` carries the requested page per thread; the planner
+        passes it when the policy sets :attr:`needs_pages`.
         """
-        raise NotImplementedError
-
-    def commit(self) -> None:
-        """Install the planned end state into the live policy."""
-        raise NotImplementedError
-
-
-class _FifoDrainPlan(DrainPlan):
-    """FIFO grants in queue order; arrival batches append."""
-
-    __slots__ = ("_policy", "_queue", "horizon")
-
-    supports_bulk = True
-
-    def __init__(self, policy: "FIFOArbitration", horizon: int) -> None:
-        self._policy = policy
-        self._queue: deque[int] = deque(policy._queue)
-        self.horizon = horizon
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def pop(self, limit: int) -> list[int]:
-        queue = self._queue
-        n = min(limit, len(queue))
-        return [queue.popleft() for _ in range(n)]
-
-    def push(self, threads: list[int], pages: list[int] | None = None) -> None:
-        self._queue.extend(threads)
-
-    def snapshot(self) -> list[int]:
-        return list(self._queue)
-
-    def replace(self, threads: list[int]) -> None:
-        self._queue = deque(threads)
-
-    def commit(self) -> None:
-        self._policy._queue = self._queue
-
-
-class _PriorityDrainPlan(DrainPlan):
-    """Priority-family grants in (rank, thread) order.
-
-    Built from the waiting set with a fresh heap, which is equivalent
-    to the policy's lazily-cleaned heap: stale entries only ever get
-    skipped.
-
-    With ``cross_period`` set, the plan spans remap boundaries: its
-    ``tick_hook`` applies the policy's deterministic rank permutation
-    (:meth:`PriorityArbitration._permute_ranks`, fed by a cloned rng so
-    Dynamic Priority's random draws replay exactly) at every boundary
-    tick inside the planned interval, so the grant order stays exact
-    across arbitrarily many remaps. :meth:`commit` then installs the
-    final ranks, advances ``remap_count`` in bulk, and syncs the live
-    rng to the clone; discarding the plan rolls everything back for
-    free because the policy was never touched. Without ``cross_period``
-    (no remap period) ranks never change.
-    """
-
-    __slots__ = (
-        "_policy",
-        "_waiting",
-        "_heap",
-        "_ranks",
-        "_period",
-        "_remaps",
-        "_rng",
-        "horizon",
-    )
-
-    def __init__(
-        self,
-        policy: "PriorityArbitration",
-        horizon: int,
-        cross_period: int | None = None,
-    ) -> None:
-        self._policy = policy
-        self._ranks = policy._ranks
-        self._waiting = set(policy._waiting)
-        self._heap = [(int(self._ranks[t]), t) for t in self._waiting]
-        heapq.heapify(self._heap)
-        self.horizon = horizon
-        self._period = cross_period
-        self._remaps = 0
-        self._rng: np.random.Generator | None = None
-        if cross_period is not None:
-            bit_gen = policy._rng.bit_generator
-            clone = type(bit_gen)()
-            clone.state = bit_gen.state
-            self._rng = np.random.Generator(clone)
-            self.tick_hook = self._tick_hook
-
-    def __len__(self) -> int:
-        return len(self._waiting)
-
-    def _tick_hook(self, tau: int) -> None:
-        if tau % self._period:
-            return
-        # Mirror of PriorityArbitration.remap() on the planned copy:
-        # permute ranks (a pure function of the old ranks + cloned rng)
-        # and rebuild the heap from the waiting set.
-        self._ranks = self._policy._permute_ranks(self._ranks, self._rng)
-        self._remaps += 1
-        ranks = self._ranks
-        self._heap = [(int(ranks[t]), t) for t in self._waiting]
-        heapq.heapify(self._heap)
-
-    def pop(self, limit: int) -> list[int]:
-        granted: list[int] = []
-        heap, waiting = self._heap, self._waiting
-        while heap and len(granted) < limit:
-            _, thread = heapq.heappop(heap)
-            if thread in waiting:
-                waiting.discard(thread)
-                granted.append(thread)
-        return granted
-
-    def push(self, threads: list[int], pages: list[int] | None = None) -> None:
-        heap, waiting, ranks = self._heap, self._waiting, self._ranks
-        for thread in threads:
-            waiting.add(thread)
-            heapq.heappush(heap, (int(ranks[thread]), thread))
-
-    def commit(self) -> None:
-        policy = self._policy
-        policy._waiting = self._waiting
-        if self._remaps:
-            policy._ranks = self._ranks
-            policy.remap_count += self._remaps
-            policy._rng.bit_generator.state = self._rng.bit_generator.state
-        heap = [(int(self._ranks[t]), t) for t in self._waiting]
-        heapq.heapify(heap)
-        policy._heap = heap
-
-
-class _RoundRobinDrainPlan(DrainPlan):
-    """Round-robin grants from a copied waiting bitmap + scan pointer.
-
-    The policy's per-tick transition is a deterministic recurrence in
-    ``(waiting, next)``: the plan replays the exact cyclic scan on a
-    copy, so the grant order is exact over any horizon.
-    """
-
-    __slots__ = ("_policy", "_waiting", "_count", "_next", "horizon")
-
-    def __init__(self, policy: "RoundRobinArbitration", horizon: int) -> None:
-        self._policy = policy
-        self._waiting = policy._waiting.copy()
-        self._count = policy._count
-        self._next = policy._next
-        self.horizon = horizon
-
-    def __len__(self) -> int:
-        return self._count
-
-    def pop(self, limit: int) -> list[int]:
-        granted: list[int] = []
-        waiting = self._waiting
-        p = self._policy.num_threads
-        pos = self._next
-        scanned = 0
-        target = min(limit, self._count)
-        while len(granted) < target and scanned < p:
-            if waiting[pos]:
-                waiting[pos] = False
-                granted.append(pos)
-            pos = (pos + 1) % p
-            scanned += 1
-        self._count -= len(granted)
-        self._next = pos
-        return granted
-
-    def push(self, threads: list[int], pages: list[int] | None = None) -> None:
-        waiting = self._waiting
-        for thread in threads:
-            if not waiting[thread]:
-                waiting[thread] = True
-                self._count += 1
-
-    def commit(self) -> None:
-        policy = self._policy
-        policy._waiting = self._waiting
-        policy._count = self._count
-        policy._next = self._next
-
-
-class _FrfcfsDrainPlan(DrainPlan):
-    """FR-FCFS grants from a copied request queue + bank open-row state.
-
-    Row-hit streaks are a deterministic function of the queued
-    ``(thread, page)`` pairs and the open rows, both copied here; the
-    plan needs the requested page of every future arrival, so it sets
-    :attr:`needs_pages` and the planner feeds per-thread page streams
-    through :meth:`push`.
-    """
-
-    __slots__ = ("_policy", "_queue", "_banks", "horizon")
-
-    needs_pages = True
-
-    def __init__(self, policy: "FRFCFSArbitration", horizon: int) -> None:
-        from .dram import BankState
-
-        self._policy = policy
-        self._queue: deque[tuple[int, int]] = deque(policy._queue)
-        banks = BankState(policy.geometry)
-        banks._open_rows.update(policy._banks._open_rows)
-        self._banks = banks
-        self.horizon = horizon
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def pop(self, limit: int) -> list[int]:
-        granted: list[int] = []
-        queue, banks = self._queue, self._banks
-        is_row_hit = banks.is_row_hit
-        while queue and len(granted) < limit:
-            chosen = None
-            for idx, (_, page) in enumerate(queue):
-                if is_row_hit(page):
-                    chosen = idx
-                    break
-            if chosen is None:
-                chosen = 0  # no ready request: oldest wins
-            thread, page = queue[chosen]
-            del queue[chosen]
-            banks.access(page)
-            granted.append(thread)
-        return granted
-
-    def push(self, threads: list[int], pages: list[int] | None = None) -> None:
+        enqueue = self._copy.enqueue
         if pages is None:
-            raise ValueError("fr_fcfs drain plan requires pages on push")
-        self._queue.extend(zip(threads, pages))
-
-    def commit(self) -> None:
-        policy = self._policy
-        policy._queue = self._queue
-        policy._banks = self._banks
-
-
-def _blacklist_grant(
-    queue: "deque[int]", blacklisted: np.ndarray, limit: int
-) -> list[int]:
-    """Pop up to ``limit`` threads: oldest non-blacklisted first, then
-    oldest blacklisted. Shared by the live policy and its drain plan so
-    the two grant orders cannot diverge.
-    """
-    if limit <= 0 or not queue:
-        return []
-    granted: list[int] = []
-    skipped: deque[int] = deque()
-    while queue and len(granted) < limit:
-        thread = queue.popleft()
-        if blacklisted[thread]:
-            skipped.append(thread)
+            for thread in threads:
+                enqueue(thread)
         else:
-            granted.append(thread)
-    while skipped and len(granted) < limit:
-        granted.append(skipped.popleft())
-    # un-granted blacklisted entries are older than everything left in
-    # the queue: re-prepending them preserves FCFS order exactly
-    while skipped:
-        queue.appendleft(skipped.pop())
-    return granted
-
-
-def _blacklist_note_serves(
-    granted: list[int],
-    blacklisted: np.ndarray,
-    streak_thread: int,
-    streak: int,
-    threshold: int,
-) -> tuple[int, int]:
-    """Advance the served-request streak counter over ``granted``.
-
-    A thread whose streak reaches ``threshold`` is blacklisted and the
-    streak restarts. Returns the new ``(streak_thread, streak)``.
-    """
-    for thread in granted:
-        if thread == streak_thread:
-            streak += 1
-        else:
-            streak_thread = thread
-            streak = 1
-        if streak >= threshold:
-            blacklisted[thread] = True
-            streak = 0
-    return streak_thread, streak
-
-
-class _BlacklistDrainPlan(DrainPlan):
-    """Blacklisting grants from a copied queue + streak/blacklist state.
-
-    The per-tick transition is a deterministic recurrence in
-    ``(queue, blacklisted, streak)``; the plan replays it on copies, and
-    its ``tick_hook`` mirrors :meth:`BlacklistingArbitration.begin_tick`
-    by clearing the copied blacklist at every clearing boundary inside
-    the planned interval.
-    """
-
-    __slots__ = (
-        "_policy",
-        "_queue",
-        "_blacklisted",
-        "_streak_thread",
-        "_streak",
-        "horizon",
-        "tick_hook",
-    )
-
-    def __init__(self, policy: "BlacklistingArbitration", horizon: int) -> None:
-        self._policy = policy
-        self._queue: deque[int] = deque(policy._queue)
-        self._blacklisted = policy._blacklisted.copy()
-        self._streak_thread = policy._streak_thread
-        self._streak = policy._streak
-        self.horizon = horizon
-        self.tick_hook = self._tick_hook
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def _tick_hook(self, tau: int) -> None:
-        if tau % self._policy.blacklist_clear_interval == 0:
-            self._blacklisted[:] = False
-            self._streak_thread = -1
-            self._streak = 0
-
-    def pop(self, limit: int) -> list[int]:
-        granted = _blacklist_grant(self._queue, self._blacklisted, limit)
-        self._streak_thread, self._streak = _blacklist_note_serves(
-            granted,
-            self._blacklisted,
-            self._streak_thread,
-            self._streak,
-            self._policy.blacklist_threshold,
-        )
-        return granted
-
-    def push(self, threads: list[int], pages: list[int] | None = None) -> None:
-        self._queue.extend(threads)
+            for thread, page in zip(threads, pages):
+                enqueue(thread, page)
 
     def commit(self) -> None:
-        policy = self._policy
-        policy._queue = self._queue
-        policy._blacklisted = self._blacklisted
-        policy._streak_thread = self._streak_thread
-        policy._streak = self._streak
-
-
-def _dpq_grant(order: list[int], waiting: np.ndarray, target: int) -> list[int]:
-    """Grant up to ``target`` waiting threads in priority-slot order and
-    drop the granted ones to the lowest slots (everyone else implicitly
-    promotes). Shared by the live policy and its drain plan.
-    """
-    if target <= 0:
-        return []
-    granted: list[int] = []
-    for thread in order:
-        if waiting[thread]:
-            waiting[thread] = False
-            granted.append(thread)
-            if len(granted) == target:
-                break
-    if granted:
-        taken = set(granted)
-        order[:] = [t for t in order if t not in taken] + granted
-    return granted
-
-
-class _DpqDrainPlan(DrainPlan):
-    """DPQ grants from a copied slot order + waiting bitmap.
-
-    Like round-robin, the per-tick transition is a deterministic
-    recurrence in ``(order, waiting)``: the plan replays the exact slot
-    scan and demotion on copies, so the grant order is exact over any
-    horizon.
-    """
-
-    __slots__ = ("_policy", "_order", "_waiting", "_count", "horizon")
-
-    def __init__(
-        self, policy: "DynamicPriorityQueueArbitration", horizon: int
-    ) -> None:
-        self._policy = policy
-        self._order = list(policy._order)
-        self._waiting = policy._waiting.copy()
-        self._count = policy._count
-        self.horizon = horizon
-
-    def __len__(self) -> int:
-        return self._count
-
-    def pop(self, limit: int) -> list[int]:
-        granted = _dpq_grant(
-            self._order, self._waiting, min(limit, self._count)
-        )
-        self._count -= len(granted)
-        return granted
-
-    def push(self, threads: list[int], pages: list[int] | None = None) -> None:
-        waiting = self._waiting
-        for thread in threads:
-            if not waiting[thread]:
-                waiting[thread] = True
-                self._count += 1
-
-    def commit(self) -> None:
-        policy = self._policy
-        policy._order = self._order
-        policy._waiting = self._waiting
-        policy._count = self._count
+        """Install the copy's state into the live policy."""
+        live = vars(self._policy)
+        rngs = {name: live[name] for name in self._rngs}
+        live.update(vars(self._copy))
+        for name, rng in rngs.items():
+            rng.bit_generator.state = live[name].bit_generator.state
+            live[name] = rng
 
 
 class FIFOArbitration(ArbitrationPolicy):
@@ -648,6 +281,7 @@ class FIFOArbitration(ArbitrationPolicy):
     """
 
     name = "fifo"
+    plannable = True
 
     def __init__(self, num_threads: int) -> None:
         super().__init__(num_threads)
@@ -664,9 +298,6 @@ class FIFOArbitration(ArbitrationPolicy):
         n = min(limit, len(queue))
         return [queue.popleft() for _ in range(n)]
 
-    def drain_plan(self, limit: int, horizon: int) -> _FifoDrainPlan:
-        return _FifoDrainPlan(self, horizon)
-
 
 class PriorityArbitration(ArbitrationPolicy):
     """Static strict-priority arbitration (identity permutation).
@@ -677,16 +308,11 @@ class PriorityArbitration(ArbitrationPolicy):
     """
 
     name = "priority"
+    plannable = True
 
-    def __init__(
-        self,
-        num_threads: int,
-        remap_period: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
+    def __init__(self, num_threads: int, remap_period: int | None = None) -> None:
         super().__init__(num_threads)
         self.remap_period = remap_period
-        self._rng = rng if rng is not None else np.random.default_rng()
         self._ranks = np.arange(num_threads, dtype=np.int64)
         self._waiting: set[int] = set()
         self._heap: list[tuple[int, int]] = []
@@ -727,30 +353,24 @@ class PriorityArbitration(ArbitrationPolicy):
                 self.remap()
         return True
 
-    def drain_plan(self, limit: int, horizon: int) -> _PriorityDrainPlan:
-        return _PriorityDrainPlan(self, horizon, cross_period=self.remap_period)
-
     def remap(self) -> None:
         """Permute ranks and rebuild the waiting heap.
 
         Static Priority keeps the identity permutation; subclasses
         override :meth:`_permute_ranks`.
         """
-        self._ranks = self._permute_ranks(self._ranks, self._rng)
+        self._ranks = self._permute_ranks(self._ranks)
         self.remap_count += 1
         ranks = self._ranks
         self._heap = [(int(ranks[t]), t) for t in self._waiting]
         heapq.heapify(self._heap)
 
-    def _permute_ranks(
-        self, ranks: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Pure remap step: next rank array from the current one.
+    def _permute_ranks(self, ranks: np.ndarray) -> np.ndarray:
+        """Remap step: next rank array from the current one.
 
-        Must not mutate ``ranks`` and must draw randomness only from
-        ``rng`` — this is what lets drain plans replay remaps on a
-        copy (cross-remap planning). Static Priority is the identity;
-        subclasses override this.
+        Randomness must come from a generator attribute of the policy,
+        which a drain plan clones to replay remaps on its copy. Static
+        Priority is the identity; subclasses override this.
         """
         return ranks
 
@@ -761,10 +381,17 @@ class DynamicPriorityArbitration(PriorityArbitration):
     name = "dynamic_priority"
     requires_remap_period = True
 
-    def _permute_ranks(
-        self, ranks: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        return rng.permutation(len(ranks)).astype(np.int64)
+    def __init__(
+        self,
+        num_threads: int,
+        remap_period: int | None = None,
+        rng: np.random.Generator | None = None,
+    ) -> None:
+        super().__init__(num_threads, remap_period)
+        self._rng = rng if rng is not None else np.random.default_rng()
+
+    def _permute_ranks(self, ranks: np.ndarray) -> np.ndarray:
+        return self._rng.permutation(len(ranks)).astype(np.int64)
 
 
 class CyclePriorityArbitration(PriorityArbitration):
@@ -773,9 +400,7 @@ class CyclePriorityArbitration(PriorityArbitration):
     name = "cycle_priority"
     requires_remap_period = True
 
-    def _permute_ranks(
-        self, ranks: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
+    def _permute_ranks(self, ranks: np.ndarray) -> np.ndarray:
         return (ranks + 1) % self.num_threads
 
 
@@ -785,9 +410,7 @@ class CycleReversePriorityArbitration(PriorityArbitration):
     name = "cycle_reverse_priority"
     requires_remap_period = True
 
-    def _permute_ranks(
-        self, ranks: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
+    def _permute_ranks(self, ranks: np.ndarray) -> np.ndarray:
         return (ranks + self.num_threads - 1) % self.num_threads
 
 
@@ -797,9 +420,7 @@ class InterleavePriorityArbitration(PriorityArbitration):
     name = "interleave_priority"
     requires_remap_period = True
 
-    def _permute_ranks(
-        self, ranks: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
+    def _permute_ranks(self, ranks: np.ndarray) -> np.ndarray:
         return riffle_permutation(ranks)
 
 
@@ -864,6 +485,7 @@ class RoundRobinArbitration(ArbitrationPolicy):
     """Grant channels in cyclic thread-id order after the last grant."""
 
     name = "round_robin"
+    plannable = True
 
     def __init__(self, num_threads: int) -> None:
         super().__init__(num_threads)
@@ -896,9 +518,6 @@ class RoundRobinArbitration(ArbitrationPolicy):
         self._next = pos
         return granted
 
-    def drain_plan(self, limit: int, horizon: int) -> _RoundRobinDrainPlan:
-        return _RoundRobinDrainPlan(self, horizon)
-
 
 class FRFCFSArbitration(ArbitrationPolicy):
     """First-Ready FCFS: the discipline of real DRAM controllers [49].
@@ -912,6 +531,8 @@ class FRFCFSArbitration(ArbitrationPolicy):
     """
 
     name = "fr_fcfs"
+    plannable = True
+    needs_pages = True
 
     def __init__(
         self,
@@ -951,9 +572,6 @@ class FRFCFSArbitration(ArbitrationPolicy):
             granted.append(thread)
         return granted
 
-    def drain_plan(self, limit: int, horizon: int) -> _FrfcfsDrainPlan:
-        return _FrfcfsDrainPlan(self, horizon)
-
 
 class BlacklistingArbitration(ArbitrationPolicy):
     """The Blacklisting memory scheduler (Subramanian et al.).
@@ -971,6 +589,7 @@ class BlacklistingArbitration(ArbitrationPolicy):
     """
 
     name = "blacklist"
+    plannable = True
 
     def __init__(
         self,
@@ -1011,14 +630,35 @@ class BlacklistingArbitration(ArbitrationPolicy):
         self._streak = 0
 
     def select(self, limit: int) -> list[int]:
-        granted = _blacklist_grant(self._queue, self._blacklisted, limit)
-        self._streak_thread, self._streak = _blacklist_note_serves(
-            granted,
-            self._blacklisted,
-            self._streak_thread,
-            self._streak,
-            self.blacklist_threshold,
-        )
+        # oldest non-blacklisted first, then oldest blacklisted
+        queue, blacklisted = self._queue, self._blacklisted
+        granted: list[int] = []
+        skipped: deque[int] = deque()
+        while queue and len(granted) < limit:
+            thread = queue.popleft()
+            if blacklisted[thread]:
+                skipped.append(thread)
+            else:
+                granted.append(thread)
+        while skipped and len(granted) < limit:
+            granted.append(skipped.popleft())
+        # un-granted blacklisted entries are older than everything left
+        # in the queue: re-prepending them preserves FCFS order exactly
+        while skipped:
+            queue.appendleft(skipped.pop())
+        # advance the consecutive-grant streak; a thread whose streak
+        # reaches the threshold is blacklisted and the streak restarts
+        streak_thread, streak = self._streak_thread, self._streak
+        for thread in granted:
+            if thread == streak_thread:
+                streak += 1
+            else:
+                streak_thread = thread
+                streak = 1
+            if streak >= self.blacklist_threshold:
+                blacklisted[thread] = True
+                streak = 0
+        self._streak_thread, self._streak = streak_thread, streak
         return granted
 
     def skip_idle_ticks(self, start: int, end: int) -> bool:
@@ -1030,9 +670,6 @@ class BlacklistingArbitration(ArbitrationPolicy):
         if first < end:
             self._clear()
         return True
-
-    def drain_plan(self, limit: int, horizon: int) -> _BlacklistDrainPlan:
-        return _BlacklistDrainPlan(self, horizon)
 
 
 class DynamicPriorityQueueArbitration(ArbitrationPolicy):
@@ -1050,6 +687,7 @@ class DynamicPriorityQueueArbitration(ArbitrationPolicy):
     """
 
     name = "dpq"
+    plannable = True
 
     def __init__(self, num_threads: int) -> None:
         super().__init__(num_threads)
@@ -1071,14 +709,24 @@ class DynamicPriorityQueueArbitration(ArbitrationPolicy):
         return ranks
 
     def select(self, limit: int) -> list[int]:
-        granted = _dpq_grant(
-            self._order, self._waiting, min(limit, self._count)
-        )
+        # grant waiting threads in slot order; the granted ones drop to
+        # the lowest slots (everyone else implicitly promotes)
+        target = min(limit, self._count)
+        if target <= 0:
+            return []
+        order, waiting = self._order, self._waiting
+        granted: list[int] = []
+        for thread in order:
+            if waiting[thread]:
+                waiting[thread] = False
+                granted.append(thread)
+                if len(granted) == target:
+                    break
+        if granted:
+            taken = set(granted)
+            order[:] = [t for t in order if t not in taken] + granted
         self._count -= len(granted)
         return granted
-
-    def drain_plan(self, limit: int, horizon: int) -> _DpqDrainPlan:
-        return _DpqDrainPlan(self, horizon)
 
 
 _ARBITRATION_CLASSES: dict[str, type[ArbitrationPolicy]] = {

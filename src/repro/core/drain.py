@@ -25,9 +25,10 @@ deterministic once three facts are pinned down at its entry tick:
    at ``tau + 1`` and the core (if continuing on a window miss)
    re-enqueues at ``tau + 2``. Entry hits are served at the entry tick
    and re-enqueue one tick later. :func:`plan_drain` replays exactly
-   this recurrence against a snapshot of the arbitration queue (an
-   :meth:`~repro.core.arbitration.ArbitrationPolicy.drain_plan`), so
-   the grant order is the policy's own.
+   this recurrence against a copy of the arbitration policy (a
+   :class:`~repro.core.arbitration.DrainPlan`, which runs the copy's
+   own ``select``, ``enqueue`` and ``begin_tick``), so the grant order
+   is the policy's own.
 3. **Eviction feasibility.** Per tick, the victims needed
    (``deficit``) must come from resident pages that are not protected;
    the protected-and-resident pages at tick ``tau`` are exactly last
@@ -39,13 +40,13 @@ deterministic once three facts are pinned down at its entry tick:
 The interval additionally ends at the policy's plan horizon, at
 ``max_ticks``, at any core's *deadline* (two ticks after its last
 in-window grant, when its uncertain reference would be classified), or
-when the queue runs dry. Plans are no longer capped at remap
-boundaries: the priority family's remaps are pure permutations of the
-current ranks (plus a clonable rng for Dynamic Priority), so a plan
-replays them inside the planned copy via its ``tick_hook`` and the
-planner carries grant order exactly across any number of boundaries.
-Address-aware policies (FR-FCFS) plan too: the planner feeds each
-re-enqueue the core's next requested page from ``page_streams``. Probe
+when the queue runs dry. Plans are not capped at remap or blacklist
+clearing boundaries: the plan's ``tick_hook`` runs the copy's
+``begin_tick`` on every planned tick (Dynamic Priority draws from a
+clone of the policy's generator), so the planner carries grant order
+exactly across any number of boundaries. Address-aware policies
+(FR-FCFS) plan too: the planner feeds each re-enqueue the core's next
+requested page from ``page_streams``. Probe
 samples falling inside a skipped interval are reconstructed
 tick-for-tick by
 :func:`repro.obs.probe.materialize_interval_samples` from the
@@ -387,23 +388,22 @@ def plan_drain(
     completes: dict[int, bool],
     page_streams: "dict[int, object] | None" = None,
 ) -> DrainSchedule | None:
-    """Simulate the whole drain against the policy's queue snapshot.
+    """Simulate the whole drain against a copy of the policy.
 
     ``h_threads`` / ``b_threads`` are the entry tick's ready cores whose
     current reference is resident / missing (both sorted by core id);
-    cores already queued at entry are implicit in ``plan``'s snapshot.
+    cores already queued at entry are implicit in ``plan``'s copy.
     ``grant_avail`` maps every live core to the number of grants its
     guaranteed-miss window allows (mutated in place); ``completes``
     flags cores whose window reaches the end of their trace.
 
-    When the plan declares :attr:`~repro.core.arbitration.DrainPlan.
-    needs_pages` (address-aware policies), ``page_streams`` must map
-    every live core to its upcoming reference stream starting at the
-    core's *current* reference; the planner feeds each re-enqueue the
-    right page off that stream. When the plan declares a ``tick_hook``
-    (remap-replaying plans), the planner invokes it once per planned
-    tick after the first, exactly where the live loop runs
-    ``begin_tick``.
+    When the plan's policy sets ``needs_pages`` (address-aware
+    policies), ``page_streams`` must map every live core to its
+    upcoming reference stream starting at the core's *current*
+    reference; the planner feeds each re-enqueue the right page off
+    that stream. When the plan has a ``tick_hook`` (policies with a
+    ``begin_tick``), the planner invokes it once per planned tick after
+    the first, exactly where the live loop runs ``begin_tick``.
 
     Returns ``None`` when the interval is shorter than
     :data:`MIN_FF_TICKS` (callers then fall back to per-tick execution
@@ -453,7 +453,7 @@ def plan_drain(
     prot = len(h_threads)  # resident pages eviction must not touch
     total_evicted = 0
     q = channels
-    supports_bulk = plan.supports_bulk and hook is None
+    supports_bulk = plan.supports_bulk
     try_bulk = supports_bulk
     next_idx: dict[int, int] = dict.fromkeys(b_threads, 0) if needs_pages else {}
     tau = start

@@ -50,6 +50,9 @@ class DramGeometry:
     def row_of(self, page: int) -> int:
         return (page // self.banks) // self.row_pages
 
+    def __copy__(self) -> "DramGeometry":
+        return self  # frozen: a copy would be equal and immutable
+
 
 class BankState:
     """Open-row tracking across all banks of a :class:`DramGeometry`."""
@@ -57,6 +60,11 @@ class BankState:
     def __init__(self, geometry: DramGeometry) -> None:
         self.geometry = geometry
         self._open_rows: dict[int, int] = {}
+
+    def __copy__(self) -> "BankState":
+        copied = BankState(self.geometry)
+        copied._open_rows.update(self._open_rows)
+        return copied
 
     def is_row_hit(self, page: int) -> bool:
         """Would ``page`` hit its bank's currently open row?"""

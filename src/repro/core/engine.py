@@ -157,7 +157,7 @@ def _attempt_fast_forward(
     if not ffstate.plan_ok:
         return None
     ffstate.attempts_miss += 1
-    plan = arb.drain_plan(q, ff_horizon)
+    plan = arb.drain_plan(ff_horizon)
     if plan is None:
         ffstate.plan_ok = False
         return None

@@ -76,60 +76,19 @@ __all__ = [
     "VECTOR_THRESHOLD",
     "FastSimulator",
     "resolve_engine",
-    "set_vector_threshold",
     "simulate",
     "vector_threshold",
 ]
 
 #: the scalar/vector crossover: below this many READY cores a tick is
-#: processed scalar, above it with numpy. :func:`set_vector_threshold`
-#: overrides it (tests pin one path, benchmarks measure both).
+#: processed scalar, above it with numpy.
 VECTOR_THRESHOLD = 24
-
-_vector_threshold_override: int | None = None
 
 
 def vector_threshold() -> int:
-    """The ready-set width at which ticks switch to the vector path:
-    the :func:`set_vector_threshold` override, else
-    :data:`VECTOR_THRESHOLD`."""
-    if _vector_threshold_override is not None:
-        return _vector_threshold_override
+    """The ready-set width at which ticks switch to the vector path."""
     return VECTOR_THRESHOLD
 
-
-def set_vector_threshold(n: int | None) -> int | None:
-    """Force the scalar/vector crossover; returns the previous override.
-
-    ``None`` removes the override, restoring :data:`VECTOR_THRESHOLD`.
-    Used by differential tests to pin one path and by benchmarks to
-    measure both. An invalid value (non-integer, non-positive) warns
-    once and clears the override — the knob is purely performance, so
-    misuse must never change or abort a run.
-    """
-    global _vector_threshold_override
-    previous = _vector_threshold_override
-    if n is None:
-        _vector_threshold_override = None
-        return previous
-    try:
-        value = int(n)
-    except (TypeError, ValueError):
-        value = 0
-    if value < 1:
-        from ..obs.log import get_logger, warn_once
-
-        warn_once(
-            get_logger("core"),
-            "vector-threshold-set",
-            "ignoring invalid vector threshold %r "
-            "(expected an integer >= 1); override cleared",
-            n,
-        )
-        _vector_threshold_override = None
-        return previous
-    _vector_threshold_override = value
-    return previous
 
 #: dense page-state arrays must stay sane
 MAX_DENSE_PAGE = 50_000_000

@@ -18,6 +18,7 @@ from repro.core.arbitration import (
     PriorityArbitration,
     RandomArbitration,
     RoundRobinArbitration,
+    arbitration_policy_names,
     make_arbitration_policy,
     register_arbitration_policy,
     riffle_permutation,
@@ -512,6 +513,25 @@ def enqueue_any(policy, thread, page=None):
     policy.enqueue(thread, page if page is not None else thread)
 
 
+def page_of(thread, step=0):
+    """A page per (thread, step) that spreads over make_any's banks and
+    rows, so fr_fcfs both hits and misses open rows."""
+    return (13 * thread + 5 * step) % 97
+
+
+def push_any(plan, threads, step=0):
+    """``plan.push`` with the pages :func:`page_of` gives the live twin."""
+    plan.push(threads, [page_of(t, step) for t in threads])
+
+
+#: every registered policy that offers a drain plan
+PLANNED_NAMES = [
+    name
+    for name in arbitration_policy_names()
+    if make_any(name).drain_plan(1) is not None
+]
+
+
 class TestTieBreaking:
     @pytest.mark.parametrize("name", ELEVEN_NAMES)
     def test_empty_queue_selects_nothing(self, name):
@@ -622,7 +642,7 @@ class TestDrainPlan:
     def test_random_opts_out(self):
         # select() draws from the RNG per grant: inherently unplannable
         policy = make_any("random")
-        assert policy.drain_plan(2, 1000) is None
+        assert policy.drain_plan(1000) is None
 
     @pytest.mark.parametrize(
         "name", ["round_robin", "fr_fcfs", "blacklist", "dpq"]
@@ -631,7 +651,7 @@ class TestDrainPlan:
         # deterministic state recurrences: both plan from copied state
         # (the pop-vs-select oracles live in tests/test_drain.py)
         policy = make_any(name)
-        plan = policy.drain_plan(2, 1000)
+        plan = policy.drain_plan(1000)
         assert plan is not None
         assert plan.horizon == 1000
 
@@ -645,7 +665,7 @@ class TestDrainPlan:
         plan.begin_tick(1)
         for thread in (4, 1, 6):
             plan.enqueue(thread)
-        plan = plan.drain_plan(2, 1000)
+        plan = plan.drain_plan(1000)
         assert plan is not None
         # interleave pops with arrival batches, exactly as plan_drain does
         script = [(2, [0, 3]), (2, [5]), (1, []), (3, []), (8, [])]
@@ -658,36 +678,61 @@ class TestDrainPlan:
                 live.enqueue(thread)
         assert len(plan) == len(live)
 
-    @pytest.mark.parametrize("name", ["fifo"] + PRIORITY_NAMES)
+    @pytest.mark.parametrize("name", PLANNED_NAMES)
     def test_plan_is_a_copy_until_commit(self, name):
-        policy = make(name, p=8, T=1000, seed=5)
+        policy = make_any(name, p=8, T=1000, seed=5)
         policy.begin_tick(1)
         for thread in (4, 1, 6):
-            policy.enqueue(thread)
-        plan = policy.drain_plan(2, 1000)
+            enqueue_any(policy, thread, page_of(thread))
+        plan = policy.drain_plan(1000)
         plan.pop(2)
-        plan.push([7])
+        push_any(plan, [7])
+        if plan.tick_hook is not None:
+            plan.tick_hook(1000)  # a remap or a blacklist clear, on the copy
         assert sorted(policy.select(8)) == [1, 4, 6]  # live untouched
 
-    @pytest.mark.parametrize("name", ["fifo"] + PRIORITY_NAMES)
+    @pytest.mark.parametrize("name", PLANNED_NAMES)
     def test_commit_installs_plan_state(self, name):
-        policy = make(name, p=8, T=1000, seed=5)
-        policy.begin_tick(1)
-        for thread in (4, 1, 6):
-            policy.enqueue(thread)
-        oracle = make(name, p=8, T=1000, seed=5)
-        oracle.begin_tick(1)
-        for thread in (4, 1, 6):
-            oracle.enqueue(thread)
-        plan = policy.drain_plan(2, 1000)
+        policy = make_any(name, p=8, T=1000, seed=5)
+        oracle = make_any(name, p=8, T=1000, seed=5)
+        for twin in (policy, oracle):
+            twin.begin_tick(1)
+            for thread in (4, 1, 6):
+                enqueue_any(twin, thread, page_of(thread))
+        plan = policy.drain_plan(1000)
         dropped = plan.pop(2)
-        plan.push([0, 7])
+        push_any(plan, [0, 7], step=1)
         plan.commit()
-        oracle.select(2)
-        oracle.enqueue(0)
-        oracle.enqueue(7)
-        assert len(dropped) == 2
+        assert dropped == oracle.select(2)
+        for thread in (0, 7):
+            enqueue_any(oracle, thread, page_of(thread, step=1))
+        assert len(policy) == len(oracle)
         assert policy.select(8) == oracle.select(8)
+
+    def test_dynamic_priority_plan_rng(self):
+        # the plan draws remaps from a clone: discarding it leaves the
+        # live stream alone, committing advances the live Generator
+        # object itself (the engine shares it with the replacement
+        # policy) to where per-tick remaps would have left it
+        policy = make("dynamic_priority", p=8, T=10, seed=2)
+        twin = make("dynamic_priority", p=8, T=10, seed=2)
+        rng = policy._rng
+        before = rng.bit_generator.state
+        for tau in range(1, 44):
+            twin.begin_tick(tau)
+        for commit in (False, True):
+            plan = policy.drain_plan(1000)
+            for tau in range(1, 44):  # four remaps, four draws
+                plan.tick_hook(tau)
+            if commit:
+                plan.commit()
+            else:
+                assert rng.bit_generator.state == before
+        assert policy._rng is rng
+        assert rng.bit_generator.state == twin._rng.bit_generator.state
+        assert rng.bit_generator.state != before
+        assert list(policy.priorities()) == list(twin.priorities())
+        assert policy.remap_count == twin.remap_count == 4
 
     @pytest.mark.parametrize("name", PRIORITY_NAMES)
     def test_priority_horizon_crosses_remap_boundaries(self, name):
@@ -695,10 +740,10 @@ class TestDrainPlan:
         # replays the pure rank permutation itself (via tick_hook)
         policy = make(name, p=8, T=10, seed=2)
         policy.begin_tick(13)
-        plan = policy.drain_plan(2, 10_000)
+        plan = policy.drain_plan(10_000)
         assert plan.horizon == 10_000
         assert plan.tick_hook is not None
-        plan = policy.drain_plan(2, 15)
+        plan = policy.drain_plan(15)
         assert plan.horizon == 15
 
     @pytest.mark.parametrize("name", PRIORITY_NAMES)
@@ -712,7 +757,7 @@ class TestDrainPlan:
             policy.begin_tick(13)
             for thread in (4, 1, 6, 3, 0, 7):
                 policy.enqueue(thread)
-        plan = planned.drain_plan(2, 1000)
+        plan = planned.drain_plan(1000)
         got, want = [], []
         for tau in range(14, 44):
             plan.tick_hook(tau)
@@ -735,22 +780,28 @@ class TestDrainPlan:
 
     def test_fifo_horizon_is_unbounded_by_remap(self):
         policy = make("fifo")
-        plan = policy.drain_plan(2, 12345)
+        plan = policy.drain_plan(12345)
         assert plan.horizon == 12345
 
     def test_bulk_capability_flags(self):
-        fifo_plan = make("fifo").drain_plan(2, 100)
+        fifo_plan = make("fifo").drain_plan(100)
         assert fifo_plan.supports_bulk
         for name in PRIORITY_NAMES:
             policy = make(name, T=1000)
             policy.begin_tick(1)
-            assert not policy.drain_plan(2, 100).supports_bulk
+            assert not policy.drain_plan(100).supports_bulk
+
+        class Subclass(FIFOArbitration):
+            pass
+
+        # the bulk segment is plain FIFO's closed form, not a subclass's
+        assert not Subclass(4).drain_plan(100).supports_bulk
 
     def test_fifo_snapshot_replace_roundtrip(self):
         policy = make("fifo")
         for thread in (4, 1, 6, 2):
             policy.enqueue(thread)
-        plan = policy.drain_plan(2, 100)
+        plan = policy.drain_plan(100)
         assert plan.snapshot() == [4, 1, 6, 2]
         plan.replace([6, 2, 9])
         assert plan.snapshot() == [6, 2, 9]
@@ -763,29 +814,29 @@ class TestDrainPlan:
         policy = make(name, T=1000)
         policy.begin_tick(1)
         policy.enqueue(3)
-        plan = policy.drain_plan(2, 100)
+        plan = policy.drain_plan(100)
         assert plan.snapshot() is None
         with pytest.raises(NotImplementedError):
             plan.replace([3])
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.sampled_from(["fifo"] + PRIORITY_NAMES),
+        st.sampled_from(PLANNED_NAMES),
         st.integers(min_value=0, max_value=2**32 - 1),
         st.data(),
     )
     def test_plan_oracle_property(self, name, seed, data):
         """Random interleavings of pops and pushes never diverge."""
         rng = np.random.default_rng(seed)
-        live = make(name, p=6, T=1000, seed=7)
+        live = make_any(name, p=6, T=1000, seed=7)
         live.begin_tick(1)
-        planned = make(name, p=6, T=1000, seed=7)
+        planned = make_any(name, p=6, T=1000, seed=7)
         planned.begin_tick(1)
         start = list(rng.permutation(6)[: int(rng.integers(0, 7))])
         for thread in start:
-            live.enqueue(int(thread))
-            planned.enqueue(int(thread))
-        plan = planned.drain_plan(2, 1000)
+            enqueue_any(live, int(thread), page_of(int(thread)))
+            enqueue_any(planned, int(thread), page_of(int(thread)))
+        plan = planned.drain_plan(1000)
         outside = sorted(set(range(6)) - set(start))
         for step in range(10):
             limit = data.draw(st.integers(0, 3), label=f"limit@{step}")
@@ -798,7 +849,7 @@ class TestDrainPlan:
             )
             batch = outside[:k]
             del outside[:k]
-            plan.push(batch)
+            push_any(plan, batch, step + 1)
             for thread in batch:
-                live.enqueue(thread)
+                enqueue_any(live, thread, page_of(thread, step + 1))
         assert len(plan) == len(live)

@@ -102,21 +102,11 @@ class TestRunCommands:
         "repeats=2",
     ]
 
-    def test_simulate_engine_flag_output_identical(self, capsys):
-        outputs = {}
-        for engine in ("reference", "fast", "auto"):
-            assert main(self.SIMULATE_ARGV + ["--engine", engine]) == 0
-            outputs[engine] = capsys.readouterr().out
-        assert outputs["reference"] == outputs["fast"] == outputs["auto"]
-
-    def test_simulate_engine_fast_rejects_unsupported(self):
-        argv = self.SIMULATE_ARGV + ["--replacement", "clock", "--engine", "fast"]
-        with pytest.raises(ValueError, match="fast"):
-            main(argv)
-
     def test_simulate_rejects_unknown_engine(self):
+        # simulate has no engine flag: it always runs the reference
+        # engine, and --engine is an unknown argument
         with pytest.raises(SystemExit):
-            main(self.SIMULATE_ARGV + ["--engine", "warp"])
+            main(self.SIMULATE_ARGV + ["--engine", "reference"])
 
     def test_run_engine_flags_restore_defaults(self, capsys):
         from repro.analysis.sweep import _RESULT_CACHE_DEFAULT

@@ -20,6 +20,11 @@ from hypothesis import strategies as st
 
 from repro.core import SimulationConfig, Simulator
 from repro.core import drain
+from repro.core.arbitration import (
+    _ARBITRATION_CLASSES,
+    FIFOArbitration,
+    register_arbitration_policy,
+)
 from repro.core.drain import (
     MIN_FF_TICKS,
     plan_drain,
@@ -181,17 +186,14 @@ class TestBitIdentical:
         cfg = SimulationConfig(hbm_slots=64, channels=16, arbitration="fifo")
         assert_ff_identical(miss_bound_traces(threads=16, pages=8), cfg)
 
-    def test_vector_path_wide_workload(self):
+    def test_vector_path_wide_workload(self, monkeypatch):
         # 32 cores with the crossover at 4: the fast engine's vector
         # path is the fence for the reference engine's wide intervals
-        from repro.core.fastengine import set_vector_threshold
+        from repro.core import fastengine
 
-        previous = set_vector_threshold(4)
-        try:
-            cfg = SimulationConfig(hbm_slots=96, channels=4)
-            assert_ff_identical(miss_bound_traces(threads=32, pages=6), cfg)
-        finally:
-            set_vector_threshold(previous)
+        monkeypatch.setattr(fastengine, "VECTOR_THRESHOLD", 4)
+        cfg = SimulationConfig(hbm_slots=96, channels=4)
+        assert_ff_identical(miss_bound_traces(threads=32, pages=6), cfg)
 
     def test_hit_bound_workload_elides_hit_stretches(self):
         # Everything fits in HBM, so after the cold pass the run is pure
@@ -208,11 +210,11 @@ class TestBulkSegmentBackoff:
 
     @staticmethod
     def _run(monkeypatch, bulk):
-        from repro.core.arbitration import _FifoDrainPlan
+        from repro.core.arbitration import DrainPlan
 
         snapshots = 0
         schedules = []
-        snapshot = _FifoDrainPlan.snapshot
+        snapshot = DrainPlan.snapshot
         planner = drain.plan_drain
 
         def counting_snapshot(self):
@@ -221,6 +223,7 @@ class TestBulkSegmentBackoff:
             return snapshot(self)
 
         def recording_planner(plan, **kwargs):
+            plan.supports_bulk = plan.supports_bulk and bulk
             sched = planner(plan, **kwargs)
             if sched is not None:
                 schedules.append(
@@ -232,8 +235,7 @@ class TestBulkSegmentBackoff:
                 )
             return sched
 
-        monkeypatch.setattr(_FifoDrainPlan, "snapshot", counting_snapshot)
-        monkeypatch.setattr(_FifoDrainPlan, "supports_bulk", bulk)
+        monkeypatch.setattr(DrainPlan, "snapshot", counting_snapshot)
         monkeypatch.setattr(drain, "plan_drain", recording_planner)
         wl = make_workload("random", threads=64, seed=0, length=300, pages=40)
         cfg = SimulationConfig(hbm_slots=48, arbitration="fifo", seed=0)
@@ -251,6 +253,46 @@ class TestBulkSegmentBackoff:
         assert plain_snapshots == 0
         assert_results_equal(result, plain)
         assert schedules == plain_schedules
+
+
+class RotatingFifo(FIFOArbitration):
+    """FIFO that rotates its queue by one every 16 ticks."""
+
+    name = "test_rotating_fifo"
+
+    def begin_tick(self, tick):
+        if tick % 16 == 0:
+            self._queue.rotate(1)
+
+
+class NewestFirstFifo(FIFOArbitration):
+    """FIFO's queue, granted newest request first."""
+
+    name = "test_newest_first_fifo"
+
+    def select(self, limit):
+        queue = self._queue
+        return [queue.pop() for _ in range(min(limit, len(queue)))]
+
+
+class TestSubclassPlans:
+    """A subclass of a plannable policy is planned with its own
+    ``select`` and ``begin_tick``, so its fast-forward stays exact."""
+
+    @pytest.mark.parametrize(
+        "cls", [RotatingFifo, NewestFirstFifo], ids=lambda cls: cls.name
+    )
+    def test_ff_matches_per_tick(self, cls):
+        register_arbitration_policy(cls)
+        try:
+            wl = make_workload("random", threads=16, seed=0, length=300, pages=40)
+            cfg = SimulationConfig(hbm_slots=12, arbitration=cls.name, seed=0)
+            baseline = run_with_ff(Simulator, wl.traces, cfg, False)
+            result = run_with_ff(Simulator, wl.traces, cfg, True)
+        finally:
+            _ARBITRATION_CLASSES.pop(cls.name, None)
+        assert_results_equal(result, baseline)
+        assert result.ff_intervals > 0
 
 
 class TestCrossRemap:
@@ -681,7 +723,7 @@ class TestStatefulPlanOracles:
             policy.select(2)  # leave the scan pointer mid-cycle
             for thread in (0, 1, 4):
                 policy.enqueue(thread)
-        plan = planned.drain_plan(3, 1000)
+        plan = planned.drain_plan(1000)
         assert len(plan) == len(live)
         pushes = [[3], [], [6, 2], []]
         got, want = [], []
@@ -709,7 +751,7 @@ class TestStatefulPlanOracles:
         policy = RoundRobinArbitration(4)
         for thread in (1, 3):
             policy.enqueue(thread)
-        plan = policy.drain_plan(2, 1000)
+        plan = policy.drain_plan(1000)
         plan.push([0, 2])
         # the cyclic scan starts at the pointer (0) and grants in id order
         assert plan.pop(4) == [0, 1, 2, 3]
@@ -730,7 +772,7 @@ class TestStatefulPlanOracles:
             for thread, page in warm:
                 policy.enqueue(thread, page)
             policy.select(2)  # open rows diverge from the reset state
-        plan = planned.drain_plan(2, 1000)
+        plan = planned.drain_plan(1000)
         assert plan.needs_pages
         assert len(plan) == len(live)
         pushes = [[(5, 3)], [(6, 9), (7, 16)], []]
@@ -757,7 +799,7 @@ class TestStatefulPlanOracles:
     def test_frfcfs_plan_push_requires_pages(self):
         from repro.core.arbitration import FRFCFSArbitration
 
-        plan = FRFCFSArbitration(4).drain_plan(2, 1000)
+        plan = FRFCFSArbitration(4).drain_plan(1000)
         with pytest.raises(ValueError):
             plan.push([0])
 
@@ -770,7 +812,7 @@ class TestStatefulPlanOracles:
         policy.select(1)  # bank 0 now has row 0 open
         policy.enqueue(1, 8)   # row 2: a miss...
         policy.enqueue(2, 1)   # row 0: ...that the open row jumps past
-        plan = policy.drain_plan(1, 1000)
+        plan = policy.drain_plan(1000)
         assert plan.pop(2) == [2, 1]
         # no commit: the live queue and open-row state are unchanged
         assert policy.select(2) == [2, 1]
@@ -780,7 +822,7 @@ class TestStatefulPlanOracles:
 
         policy = RandomArbitration(4, rng=np.random.default_rng(0))
         policy.enqueue(1)
-        assert policy.drain_plan(2, 1000) is None
+        assert policy.drain_plan(1000) is None
 
     def test_blacklist_plan_matches_live_select(self):
         from repro.core.arbitration import BlacklistingArbitration
@@ -793,7 +835,7 @@ class TestStatefulPlanOracles:
             policy.select(2)  # thread 2 streaks to the threshold
             for thread in (0, 2, 4):
                 policy.enqueue(thread)
-        plan = planned.drain_plan(3, 1000)
+        plan = planned.drain_plan(1000)
         assert len(plan) == len(live)
         pushes = [[3], [], [2, 6], []]
         got, want = [], []
@@ -830,7 +872,7 @@ class TestStatefulPlanOracles:
             policy.select(1)  # blacklists 3 immediately
             for thread in (3, 1):
                 policy.enqueue(thread)
-        plan = planned.drain_plan(1, 1000)
+        plan = planned.drain_plan(1000)
         got, want = [], []
         for tau in range(6, 14):  # crosses the clear boundary at 10
             plan.tick_hook(tau)
@@ -848,7 +890,7 @@ class TestStatefulPlanOracles:
         policy = BlacklistingArbitration(4, blacklist_threshold=1)
         for thread in (1, 3):
             policy.enqueue(thread)
-        plan = policy.drain_plan(2, 1000)
+        plan = policy.drain_plan(1000)
         plan.push([0, 2])
         assert plan.pop(4) == [1, 3, 0, 2]
         # plan serves blacklisted threads on its copies only
@@ -867,7 +909,7 @@ class TestStatefulPlanOracles:
             policy.select(2)  # slot order diverges from thread-id order
             for thread in (0, 1, 4):
                 policy.enqueue(thread)
-        plan = planned.drain_plan(3, 1000)
+        plan = planned.drain_plan(1000)
         assert len(plan) == len(live)
         pushes = [[3], [], [6, 2], []]
         got, want = [], []
@@ -895,7 +937,7 @@ class TestStatefulPlanOracles:
         policy = DynamicPriorityQueueArbitration(4)
         for thread in (1, 3):
             policy.enqueue(thread)
-        plan = policy.drain_plan(2, 1000)
+        plan = policy.drain_plan(1000)
         plan.push([0, 2])
         assert plan.pop(4) == [0, 1, 2, 3]
         # no commit: the live slot order and waiting set are unchanged
@@ -961,7 +1003,7 @@ class TestPlanDrain:
         policy = FIFOArbitration(8)
         for thread in threads:
             policy.enqueue(thread)
-        return policy.drain_plan(2, horizon)
+        return policy.drain_plan(horizon)
 
     def test_short_interval_rejected(self):
         sched = plan_drain(

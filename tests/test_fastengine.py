@@ -310,77 +310,33 @@ def test_fast_matches_reference_wide(seed):
 
 
 class TestVectorThreshold:
-    """vector_threshold(): the override, else VECTOR_THRESHOLD."""
-
-    @pytest.fixture(autouse=True)
-    def _restore(self):
-        from repro.core.fastengine import set_vector_threshold
-
-        previous = set_vector_threshold(None)
-        yield
-        set_vector_threshold(previous)
-
-    def test_setter_round_trip(self):
-        from repro.core.fastengine import set_vector_threshold, vector_threshold
-
-        assert set_vector_threshold(10) is None
-        assert vector_threshold() == 10
-        assert set_vector_threshold(None) == 10
-
-    @staticmethod
-    def _capture_core_warnings():
-        import logging
-
-        from repro.obs.log import get_logger, reset_warn_once
-
-        reset_warn_once()
-        captured: list[str] = []
-        handler = logging.Handler()
-        handler.emit = lambda rec: captured.append(rec.getMessage())
-        logger = get_logger("core")
-        logger.addHandler(handler)
-        return captured, logger, handler
-
-    @pytest.mark.parametrize("bad", [0, -3, "nope"])
-    def test_setter_warns_and_clears_on_invalid(self, bad):
-        # a perf-only knob must never abort a run: invalid values warn
-        # once and fall back to the documented constant
-        from repro.core.fastengine import set_vector_threshold, vector_threshold
-
-        captured, logger, handler = self._capture_core_warnings()
-        try:
-            set_vector_threshold(10)
-            assert set_vector_threshold(bad) == 10
-        finally:
-            logger.removeHandler(handler)
-        assert len(captured) == 1
-        assert "vector threshold" in captured[0]
-        # override cleared, not kept: the constant is back in force
-        assert vector_threshold() == VECTOR_THRESHOLD
+    """vector_threshold() is the constant VECTOR_THRESHOLD."""
 
     def test_env_variable(self, monkeypatch):
-        # the crossover is no environment knob: without an override it
-        # is the constant, whatever REPRO_VECTOR_THRESHOLD says
+        # the crossover is no environment knob: it is the constant,
+        # whatever REPRO_VECTOR_THRESHOLD says
         from repro.core.fastengine import vector_threshold
 
         monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", "17")
         assert vector_threshold() == VECTOR_THRESHOLD
 
     def test_override_beats_env(self, monkeypatch):
-        from repro.core.fastengine import set_vector_threshold, vector_threshold
+        # tests pin one path by patching the constant, which
+        # vector_threshold() reads on every call
+        from repro.core import fastengine
 
         monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", "17")
-        set_vector_threshold(9)
-        assert vector_threshold() == 9
+        monkeypatch.setattr(fastengine, "VECTOR_THRESHOLD", 9)
+        assert fastengine.vector_threshold() == 9
 
-    def test_results_do_not_depend_on_threshold(self):
-        from repro.core.fastengine import set_vector_threshold
+    def test_results_do_not_depend_on_threshold(self, monkeypatch):
+        from repro.core import fastengine
 
         wl = make_workload("adversarial_cycle", threads=12, pages=8, repeats=4)
         cfg = SimulationConfig(hbm_slots=32, channels=2)
         results = []
         for threshold in (1, 6, 96):
-            set_vector_threshold(threshold)
+            monkeypatch.setattr(fastengine, "VECTOR_THRESHOLD", threshold)
             results.append(FastSimulator(wl.traces, cfg).run())
         for other in results[1:]:
             assert other.makespan == results[0].makespan
