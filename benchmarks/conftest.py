@@ -19,6 +19,8 @@ import os
 
 import pytest
 
+from repro.experiments import run_experiment
+
 
 @pytest.fixture(scope="session")
 def scale() -> str:
@@ -38,12 +40,13 @@ def cache_dir(tmp_path_factory) -> str:
 
 @pytest.fixture()
 def run_experiment_once(benchmark, scale, processes, cache_dir):
-    """Run an experiment callable exactly once under the benchmark timer
+    """Run a registry experiment exactly once under the benchmark timer
     and assert every shape check passed."""
 
-    def runner(experiment_fn, **kwargs):
+    def runner(experiment_id, **kwargs):
         out = benchmark.pedantic(
-            experiment_fn,
+            run_experiment,
+            args=(experiment_id,),
             kwargs=dict(
                 scale=scale, processes=processes, cache_dir=cache_dir, **kwargs
             ),

@@ -1,11 +1,9 @@
 """Benchmarks regenerating Figure 5 (inconsistency-makespan tradeoff)."""
 
-from repro.experiments.figure5 import figure5a, figure5b
-
 
 def test_fig5a_spgemm(run_experiment_once):
     """Figure 5a: tradeoff cloud at a contended SpGEMM point."""
-    out = run_experiment_once(figure5a)
+    out = run_experiment_once("fig5a")
     policies = {r["policy"] for r in out.rows}
     assert {"fifo", "priority"} <= policies
     assert any(p.startswith("dynamic") for p in policies)
@@ -13,4 +11,4 @@ def test_fig5a_spgemm(run_experiment_once):
 
 def test_fig5b_sort(run_experiment_once):
     """Figure 5b: tradeoff cloud at a contended sort point."""
-    run_experiment_once(figure5b)
+    run_experiment_once("fig5b")

@@ -1,11 +1,9 @@
 """Benchmark regenerating Table 1 (inconsistency / mean response time)."""
 
-from repro.experiments.figure5 import table1
-
 
 def test_table1_both_panels(run_experiment_once):
     """Table 1a+1b: FIFO and Priority sit at opposite fairness extremes."""
-    out = run_experiment_once(table1)
+    out = run_experiment_once("tab1")
     # both panels present, all policies listed
     panels = {r["panel"] for r in out.rows}
     assert len(panels) == 2

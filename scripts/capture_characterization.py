@@ -22,17 +22,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from characterization_util import SNAPSHOT_PATH, jsonify  # noqa: E402
 
-from repro.experiments import experiment_ids, run_experiment  # noqa: E402
+from repro.analysis import SweepRunner  # noqa: E402
+from repro.experiments import experiment_ids, run_experiments  # noqa: E402
 
 
 def main() -> int:
     cache_dir = sys.argv[1] if len(sys.argv) > 1 else None
     snapshot: dict[str, dict] = {}
-    for experiment_id in experiment_ids():
+    ids = experiment_ids()
+    outputs = run_experiments(
+        ids, "smoke", 0, SweepRunner(processes=1, cache_dir=cache_dir)
+    )
+    for experiment_id in ids:
         start = time.perf_counter()
-        out = run_experiment(
-            experiment_id, scale="smoke", processes=1, cache_dir=cache_dir, seed=0
-        )
+        out = next(outputs)
         snapshot[experiment_id] = {
             "rows": jsonify(out.rows),
             "checks": jsonify(out.checks),

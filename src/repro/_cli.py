@@ -42,17 +42,20 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    CampaignTelemetry,
     SweepFailure,
     SweepRunner,
     parse_shard,
-    set_execution_defaults,
-    set_result_cache_default,
-    set_telemetry_defaults,
     sweep_job_from_dict,
     write_csv,
 )
 from .core import SimulationConfig, simulate
-from .experiments import EXPERIMENTS, experiment_ids, run_experiment
+from .experiments import (
+    EXPERIMENTS,
+    experiment_ids,
+    run_experiments,
+    save_experiment_output,
+)
 from .obs import (
     TimelineProbe,
     ascii_timeline,
@@ -60,12 +63,7 @@ from .obs import (
     write_chrome_trace,
     write_timeline_jsonl,
 )
-from .store import (
-    open_store,
-    parse_store_uri,
-    resolve_store_uri,
-    set_store_default,
-)
+from .store import open_store, parse_store_uri, resolve_store_uri
 from .traces import WorkloadCache, make_workload, workload_kinds
 
 __all__ = ["main", "build_parser"]
@@ -380,8 +378,8 @@ def _cmd_workloads() -> int:
 
 def _run_args_error(args: argparse.Namespace) -> str | None:
     """The first invalid ``repro run`` value as ``bad --<flag>: ...``,
-    or None. Checked before any process-wide default is set, so a
-    rejected command leaves the process exactly as it found it."""
+    or None. Checked before the runner is built, so a rejected command
+    runs nothing and writes nothing."""
     if args.retries is not None and args.retries < 0:
         return f"bad --retries: must be >= 0, got {args.retries}"
     if args.progress_every is not None and args.progress_every < 1:
@@ -424,49 +422,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
         output_dir.mkdir(parents=True, exist_ok=True)
     failed: list[str] = []
     outputs = []
-    # Experiment runners take (scale, processes, cache_dir, seed) only;
-    # result-cache policy, store, fault-tolerance and telemetry knobs flow
-    # through module-level defaults, restored afterwards so in-process
-    # callers are unaffected.
-    exec_overrides = {}
-    if args.retries is not None:
-        exec_overrides["retries"] = args.retries
-    if args.job_timeout is not None:
-        exec_overrides["job_timeout"] = args.job_timeout
-    if args.failure_mode is not None:
-        exec_overrides["failure_mode"] = args.failure_mode
-    if args.shard is not None:
-        exec_overrides["shard"] = args.shard
-    tele_overrides = {}
-    if args.metrics_out is not None:
-        tele_overrides["metrics_out"] = args.metrics_out
-    if args.events_out is not None:
-        tele_overrides["events_out"] = args.events_out
-    if args.progress_every is not None:
-        tele_overrides["progress_every"] = args.progress_every
-    prev_cache = set_result_cache_default(not args.no_result_cache)
-    prev_store = set_store_default(args.store) if args.store else None
-    prev_exec = set_execution_defaults(**exec_overrides)
-    prev_tele = set_telemetry_defaults(**tele_overrides)
+    telemetry = (
+        CampaignTelemetry(
+            metrics_out=args.metrics_out,
+            events_out=args.events_out,
+            progress_every=args.progress_every or 1,
+        )
+        if args.metrics_out or args.events_out
+        else None
+    )
     try:
         if args.resume is not None:
-            return _cmd_resume(args)
+            return _cmd_resume(args, telemetry)
+        # one runner for the invocation: every campaign shares its
+        # store, fault policy and telemetry sink
+        runner = _invocation_runner(args, telemetry)
+        produced = run_experiments(ids, args.scale, args.seed, runner)
         for experiment_id in ids:
             try:
-                out = run_experiment(
-                    experiment_id,
-                    scale=args.scale,
-                    processes=args.processes,
-                    cache_dir=args.cache_dir,
-                    seed=args.seed,
-                    save_dir=args.save,
-                )
+                out = next(produced)
             except SweepFailure as exc:
                 print(
                     f"campaign {experiment_id!r} aborted (--strict): {exc}",
                     file=sys.stderr,
                 )
                 return 3
+            if args.save is not None:
+                save_experiment_output(out, args.save, seed=args.seed)
             outputs.append(out)
             print(out.render())
             print()
@@ -480,11 +462,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{experiment_id}:{name}" for name in out.failed_checks()
             )
     finally:
-        set_result_cache_default(prev_cache)
-        if args.store:
-            set_store_default(prev_store)
-        set_execution_defaults(**prev_exec)
-        set_telemetry_defaults(**prev_tele)
+        if telemetry is not None:
+            telemetry.close()
     if args.report:
         from .analysis import write_report
 
@@ -498,6 +477,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if not args.no_strict:
             return 1
     return 0
+
+
+def _invocation_runner(
+    args: argparse.Namespace, telemetry: CampaignTelemetry | None, store=None
+) -> SweepRunner:
+    """The one :class:`SweepRunner` a ``repro run`` invocation runs on,
+    built from its flags; ``store`` overrides ``--store``."""
+    return SweepRunner(
+        processes=args.processes,
+        cache_dir=args.cache_dir,
+        result_cache=not args.no_result_cache,
+        retries=args.retries,
+        job_timeout=args.job_timeout,
+        failure_mode=args.failure_mode,
+        telemetry=telemetry,
+        store=store if store is not None else args.store,
+        shard=args.shard,
+    )
 
 
 def _open_command_store(args: argparse.Namespace):
@@ -514,7 +511,9 @@ def _open_command_store(args: argparse.Namespace):
     return open_store(uri)
 
 
-def _cmd_resume(args: argparse.Namespace) -> int:
+def _cmd_resume(
+    args: argparse.Namespace, telemetry: CampaignTelemetry | None
+) -> int:
     """Finish a checkpointed campaign: ``repro run --resume <id>``.
 
     The checkpoint stores the full job manifest plus the submitting
@@ -524,6 +523,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     deterministic campaign id makes the runner skip everything already
     in the frontier, and the report/check pipeline runs as usual.
     Otherwise the jobs are rebuilt from the manifest and swept directly.
+    Either way the work runs on the store the checkpoint was found in.
     """
     store = _open_command_store(args)
     if store is None:
@@ -541,15 +541,17 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             return 2
         meta = dict(checkpoint.meta or {})
         experiment_id = meta.get("experiment_id")
+        runner = _invocation_runner(args, telemetry, store=store)
         if experiment_id in EXPERIMENTS:
-            out = run_experiment(
-                experiment_id,
-                scale=str(meta.get("scale", args.scale)),
-                processes=args.processes,
-                cache_dir=args.cache_dir,
-                seed=int(meta.get("seed", args.seed)),
-                save_dir=args.save,
+            seed = int(meta.get("seed", args.seed))
+            (out,) = run_experiments(
+                [experiment_id],
+                str(meta.get("scale", args.scale)),
+                seed,
+                runner,
             )
+            if args.save is not None:
+                save_experiment_output(out, args.save, seed=seed)
             print(out.render())
             failed = out.failed_checks()
             if failed:
@@ -559,11 +561,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             return 0
         # No (or unknown) experiment lineage: sweep the stored manifest.
         jobs = [sweep_job_from_dict(dict(j)) for j in checkpoint.jobs]
-        runner = SweepRunner(
-            processes=args.processes,
-            cache_dir=args.cache_dir,
-            store=store,
-        )
         records = runner.run(jobs, label=checkpoint.label, meta=meta)
         stats = runner.last_campaign
         if stats is not None:

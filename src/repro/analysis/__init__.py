@@ -31,8 +31,6 @@ from .sweep import (
     WorkloadSpec,
     parse_shard,
     run_sweep,
-    set_execution_defaults,
-    set_result_cache_default,
     sweep_job_from_dict,
     sweep_job_to_dict,
 )
@@ -40,9 +38,7 @@ from .tables import format_table, to_csv, write_csv
 from .telemetry import (
     CampaignTelemetry,
     HeartbeatWriter,
-    default_telemetry,
     iter_campaign_events,
-    set_telemetry_defaults,
 )
 
 __all__ = [
@@ -51,12 +47,10 @@ __all__ = [
     "CampaignTelemetry",
     "HeartbeatWriter",
     "compare_bench",
-    "default_telemetry",
     "format_bench_report",
     "load_baseline",
     "load_bench_files",
     "record_bench",
-    "set_telemetry_defaults",
     "iter_campaign_events",
     "CampaignStats",
     "InjectedFault",
@@ -75,9 +69,7 @@ __all__ = [
     "WorkloadSpec",
     "parse_fault_plan",
     "run_sweep",
-    "set_execution_defaults",
     "set_fault_plan",
-    "set_result_cache_default",
     "format_table",
     "to_csv",
     "write_csv",

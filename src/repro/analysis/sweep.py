@@ -83,7 +83,7 @@ from ..store import (
 )
 from ..traces import Workload, WorkloadCache, make_workload
 from .faults import maybe_inject, maybe_inject_parent
-from .telemetry import CampaignTelemetry, HeartbeatWriter, default_telemetry
+from .telemetry import CampaignTelemetry, HeartbeatWriter
 
 __all__ = [
     "WorkloadSpec",
@@ -97,8 +97,6 @@ __all__ = [
     "SweepRunner",
     "CampaignStats",
     "run_sweep",
-    "set_result_cache_default",
-    "set_execution_defaults",
     "parse_shard",
     "sweep_job_to_dict",
     "sweep_job_from_dict",
@@ -229,15 +227,6 @@ _MAX_POOL_REBUILDS = 3
 #: pause before the first retry of a failed job, doubled per attempt
 _RETRY_BACKOFF_S = 0.05
 
-#: process-wide execution-policy defaults; per-runner arguments override.
-_UNSET = object()
-_EXECUTION_DEFAULTS: dict[str, Any] = {
-    "retries": 1,
-    "job_timeout": None,
-    "failure_mode": "keep_going",
-    "shard": None,
-}
-
 _FAILURE_MODES = ("keep_going", "strict")
 
 
@@ -268,44 +257,6 @@ def parse_shard(value: Any) -> tuple[int, int] | None:
             f"shard index must satisfy 0 <= i < n, got {index}/{count}"
         )
     return index, count
-
-
-def set_execution_defaults(
-    retries: Any = _UNSET,
-    job_timeout: Any = _UNSET,
-    failure_mode: Any = _UNSET,
-    shard: Any = _UNSET,
-) -> dict[str, Any]:
-    """Set process-wide fault-tolerance defaults; returns the old ones.
-
-    Used by the CLI's ``--retries`` / ``--job-timeout`` / ``--strict`` /
-    ``--shard`` flags (the experiment registry's
-    ``(scale, processes, cache_dir, seed)`` signature has no room for
-    them); individual :class:`SweepRunner` s can still override via
-    constructor arguments. Every value is validated before any is
-    stored, so a rejected call leaves the defaults as they were.
-    Restore with ``set_execution_defaults(**previous)``.
-    """
-    updates: dict[str, Any] = {}
-    if retries is not _UNSET:
-        if retries is None or int(retries) < 0:
-            raise ValueError(f"retries must be a non-negative int, got {retries!r}")
-        updates["retries"] = int(retries)
-    if job_timeout is not _UNSET:
-        updates["job_timeout"] = (
-            float(job_timeout) if job_timeout is not None else None
-        )
-    if failure_mode is not _UNSET:
-        if failure_mode not in _FAILURE_MODES:
-            raise ValueError(
-                f"failure_mode must be one of {_FAILURE_MODES}, got {failure_mode!r}"
-            )
-        updates["failure_mode"] = failure_mode
-    if shard is not _UNSET:
-        updates["shard"] = parse_shard(shard)
-    previous = dict(_EXECUTION_DEFAULTS)
-    _EXECUTION_DEFAULTS.update(updates)
-    return previous
 
 
 @dataclass(frozen=True)
@@ -1097,21 +1048,6 @@ class CampaignStats:
         return format_table(rows, title=title)
 
 
-_RESULT_CACHE_DEFAULT = True
-
-
-def set_result_cache_default(enabled: bool) -> bool:
-    """Set the process-wide result-cache default; returns the old value.
-
-    Used by the CLI's ``--no-result-cache`` flag; individual runners can
-    still override via their ``result_cache`` argument.
-    """
-    global _RESULT_CACHE_DEFAULT
-    previous = _RESULT_CACHE_DEFAULT
-    _RESULT_CACHE_DEFAULT = bool(enabled)
-    return previous
-
-
 class SweepRunner:
     """Executes sweep jobs, optionally across a process pool.
 
@@ -1119,23 +1055,24 @@ class SweepRunner:
     sequentially in-process (useful under pytest and for debugging).
 
     When ``cache_dir`` is given and ``result_cache`` is enabled (the
-    default, see :func:`set_result_cache_default`), finished records
-    are persisted under ``<cache_dir>/results/`` and re-running a job
-    list replays hits from disk without touching any engine.
+    default), finished records are persisted under
+    ``<cache_dir>/results/`` and re-running a job list replays hits
+    from disk without touching any engine.
 
     Campaign telemetry flows through the ``repro.sweep`` logger (INFO:
     start/summary, DEBUG: per-job completions) and the
     :class:`CampaignStats` left in :attr:`last_campaign` after each
     :meth:`run`.
 
-    Fault tolerance (defaults from :func:`set_execution_defaults`):
+    Fault tolerance (``None`` takes the default named below):
 
     ``retries``
-        Retry attempts per job after its first failure (exponential
-        backoff starting at 0.05 s).
+        Retry attempts per job after its first failure (default 1;
+        exponential backoff starting at 0.05 s).
     ``job_timeout``
-        Per-attempt deadline in seconds (``None``/``<=0`` disables);
-        an overrun fails the attempt with a ``"timeout"`` error.
+        Per-attempt deadline in seconds (``None``, the default, or
+        ``<=0`` disables); an overrun fails the attempt with a
+        ``"timeout"`` error.
     ``failure_mode``
         ``"keep_going"`` (default) turns a permanently failed job into
         a failed :class:`SweepRecord` and finishes the campaign;
@@ -1156,7 +1093,7 @@ class SweepRunner:
         self,
         processes: int | None = None,
         cache_dir: str | os.PathLike | None = None,
-        result_cache: bool | None = None,
+        result_cache: bool = True,
         retries: int | None = None,
         job_timeout: float | None = None,
         failure_mode: str | None = None,
@@ -1166,36 +1103,23 @@ class SweepRunner:
     ) -> None:
         self.processes = processes if processes is not None else (os.cpu_count() or 1)
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.result_cache = (
-            result_cache if result_cache is not None else _RESULT_CACHE_DEFAULT
-        )
+        self.result_cache = result_cache
         #: explicit result-store target (instance or URI); ``None``
-        #: resolves ``--store``/``REPRO_STORE``, then ``cache_dir``
+        #: resolves ``REPRO_STORE``, then ``cache_dir``
         self.store = store
-        self.shard = parse_shard(
-            shard if shard is not None else _EXECUTION_DEFAULTS["shard"]
-        )
-        defaults = _EXECUTION_DEFAULTS
-        self.retries = int(retries) if retries is not None else defaults["retries"]
+        self.shard = parse_shard(shard)
+        self.retries = int(retries) if retries is not None else 1
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        self.job_timeout = (
-            float(job_timeout) if job_timeout is not None else defaults["job_timeout"]
-        )
-        self.failure_mode = (
-            failure_mode if failure_mode is not None else defaults["failure_mode"]
-        )
+        self.job_timeout = float(job_timeout) if job_timeout is not None else None
+        self.failure_mode = failure_mode if failure_mode is not None else "keep_going"
         if self.failure_mode not in _FAILURE_MODES:
             raise ValueError(
                 f"failure_mode must be one of {_FAILURE_MODES}, "
                 f"got {self.failure_mode!r}"
             )
-        #: explicit telemetry sink; ``None`` resolves the process-wide
-        #: default (see :func:`repro.analysis.telemetry.default_telemetry`)
-        #: at each :meth:`run`
+        #: telemetry sink every :meth:`run` reports to (``None``: none)
         self.telemetry = telemetry
-        #: the sink actually driving the campaign in flight (internal)
-        self._tele: CampaignTelemetry | None = None
         #: telemetry from the most recent :meth:`run`
         self.last_campaign: CampaignStats | None = None
 
@@ -1212,9 +1136,9 @@ class SweepRunner:
     def _open_store(self) -> ResultStore | None:
         """Resolve the result store this campaign runs against.
 
-        Order: the runner's explicit ``store`` argument, then
-        :func:`repro.store.resolve_store_uri` (CLI ``--store`` /
-        ``REPRO_STORE``, then ``<cache_dir>/results``), the same rule
+        Order: the runner's explicit ``store`` argument (CLI
+        ``--store``), then :func:`repro.store.resolve_store_uri`
+        (``REPRO_STORE``, then ``<cache_dir>/results``), the same rule
         ``repro cache`` and ``repro run --resume`` use.
         ``result_cache=False`` disables all of it.
         """
@@ -1245,8 +1169,7 @@ class SweepRunner:
         if not jobs:
             self.last_campaign = CampaignStats()
             return []
-        tele = self.telemetry if self.telemetry is not None else default_telemetry()
-        self._tele = tele
+        tele = self.telemetry
         # The campaign registry doubles as the parent's active phase
         # sink: the runner's cache_probe phase and — on the
         # sequential path — engine phases record straight into it.
@@ -1258,7 +1181,6 @@ class SweepRunner:
         finally:
             if tele is not None:
                 set_active_registry(previous_registry)
-            self._tele = None
 
     def _run_campaign(
         self,
@@ -1560,8 +1482,8 @@ class SweepRunner:
             # retries build their workload afresh
             while isinstance(outcome, SweepError) and attempt < max_attempts:
                 counters["retried"] += 1
-                if self._tele is not None:
-                    self._tele.job_retried()
+                if self.telemetry is not None:
+                    self.telemetry.job_retried()
                 delay = self._backoff_s(attempt)
                 self._log_retry(jobs[idx], outcome, delay)
                 time.sleep(delay)
@@ -1581,7 +1503,7 @@ class SweepRunner:
             initializer=_pool_init,
             initargs=(
                 self.cache_dir,
-                self._tele.spool_dir if self._tele is not None else None,
+                self.telemetry.spool_dir if self.telemetry is not None else None,
                 True,
             ),
         )
@@ -1631,8 +1553,8 @@ class SweepRunner:
                     _fail(idx, outcome)
                     return
                 counters["retried"] += 1
-                if self._tele is not None:
-                    self._tele.job_retried()
+                if self.telemetry is not None:
+                    self.telemetry.job_retried()
                 delay = self._backoff_s(attempt)
                 self._log_retry(jobs[idx], outcome, delay)
                 heapq.heappush(
@@ -1662,8 +1584,8 @@ class SweepRunner:
             futures.clear()
             pool.shutdown(wait=False)
             counters["rebuilds"] += 1
-            if self._tele is not None:
-                self._tele.pool_rebuilt()
+            if self.telemetry is not None:
+                self.telemetry.pool_rebuilt()
             if counters["rebuilds"] > _MAX_POOL_REBUILDS:
                 log.error(
                     "process pool died %d times; failing %d unrecovered jobs",
@@ -1694,8 +1616,8 @@ class SweepRunner:
             )
             pool = self._make_pool(workers)
             counters["recovered"] += len(lost)
-            if self._tele is not None:
-                self._tele.jobs_recovered(len(lost))
+            if self.telemetry is not None:
+                self.telemetry.jobs_recovered(len(lost))
             # Bump the attempt so an attempt-gated kill fault (and any
             # real first-attempt-only crash) clears on resubmission;
             # repeated pool deaths are bounded by the rebuild budget
@@ -1759,7 +1681,7 @@ def run_sweep(
     jobs: Sequence[SweepJob],
     processes: int | None = None,
     cache_dir: str | os.PathLike | None = None,
-    result_cache: bool | None = None,
+    result_cache: bool = True,
 ) -> list[SweepRecord]:
     """One-call sweep execution."""
     return SweepRunner(

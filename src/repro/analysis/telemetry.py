@@ -26,11 +26,9 @@ small JSON file per worker pid under :attr:`CampaignTelemetry.spool_dir`,
 rewritten every few seconds while a job runs. Files survive any worker
 death, so the parent can always tell a stuck job from a dead worker.
 
-Process-wide defaults mirror the execution-policy pattern in
-:mod:`repro.analysis.sweep`: the CLI's ``--metrics-out`` /
-``--events-out`` / ``--progress-every`` flags call
-:func:`set_telemetry_defaults`, and every runner constructed without an
-explicit ``telemetry`` argument shares one process-global sink (so
+One sink serves any number of sequential campaigns: the CLI's
+``--metrics-out`` / ``--events-out`` / ``--progress-every`` flags build
+one per ``repro run`` and hand it to the invocation's runner (so
 ``repro run all`` folds every experiment's campaign into one stream and
 one registry).
 """
@@ -52,8 +50,6 @@ from ..obs.metrics import MetricsRegistry, write_prom
 __all__ = [
     "CampaignTelemetry",
     "HeartbeatWriter",
-    "set_telemetry_defaults",
-    "default_telemetry",
     "iter_campaign_events",
     "HEARTBEAT_INTERVAL_S",
 ]
@@ -92,66 +88,6 @@ def iter_campaign_events(path: str | os.PathLike) -> "Any":
                     f"unknown campaign event schema {schema!r} in {path}"
                 )
             yield event
-
-_UNSET = object()
-
-_TELEMETRY_DEFAULTS: dict[str, Any] = {
-    "metrics_out": None,
-    "events_out": None,
-    "progress_every": 1,
-}
-
-_GLOBAL: "CampaignTelemetry | None" = None
-
-
-def set_telemetry_defaults(
-    metrics_out: Any = _UNSET,
-    events_out: Any = _UNSET,
-    progress_every: Any = _UNSET,
-) -> dict[str, Any]:
-    """Set process-wide telemetry defaults; returns the old ones.
-
-    Used by the CLI flags (experiment runners have no telemetry
-    parameters); restore with ``set_telemetry_defaults(**previous)``.
-    Changing the defaults discards the process-global sink so the next
-    campaign picks up the new configuration.
-    """
-    global _GLOBAL
-    # validate everything before mutating anything, so a rejected call
-    # leaves the defaults exactly as they were
-    if progress_every is not _UNSET and int(progress_every) < 1:
-        raise ValueError(f"progress_every must be >= 1, got {progress_every!r}")
-    previous = dict(_TELEMETRY_DEFAULTS)
-    if metrics_out is not _UNSET:
-        _TELEMETRY_DEFAULTS["metrics_out"] = (
-            str(metrics_out) if metrics_out is not None else None
-        )
-    if events_out is not _UNSET:
-        _TELEMETRY_DEFAULTS["events_out"] = (
-            str(events_out) if events_out is not None else None
-        )
-    if progress_every is not _UNSET:
-        _TELEMETRY_DEFAULTS["progress_every"] = int(progress_every)
-    if _GLOBAL is not None:
-        _GLOBAL.close()
-        _GLOBAL = None
-    return previous
-
-
-def default_telemetry() -> "CampaignTelemetry | None":
-    """The process-global sink per the current defaults (``None`` when
-    no output is enabled — the runner then skips every telemetry hook)."""
-    global _GLOBAL
-    d = _TELEMETRY_DEFAULTS
-    if not (d["metrics_out"] or d["events_out"]):
-        return None
-    if _GLOBAL is None:
-        _GLOBAL = CampaignTelemetry(
-            metrics_out=d["metrics_out"],
-            events_out=d["events_out"],
-            progress_every=d["progress_every"],
-        )
-    return _GLOBAL
 
 
 class HeartbeatWriter:

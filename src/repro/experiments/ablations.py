@@ -9,23 +9,25 @@ or Priority. In this paper, we present an interesting subset of them."
 
 These experiments cover the rest of that grid:
 
-* :func:`channels_ablation` — q from 1 to 10 (the Theorem 3 axis);
-* :func:`permutation_scheme_ablation` — none / cycle / cycle-reverse /
+* ``CHANNELS`` (``ablation_channels``) — q from 1 to 10 (the Theorem 3
+  axis);
+* ``SCHEMES`` (``ablation_schemes``) — none / cycle / cycle-reverse /
   interleave / dynamic / random;
-* :func:`asymmetric_work_ablation` — unequal per-thread work, where the
-  paper predicts Cycle Priority "continuously places the same thread
-  behind the most demanding thread" while Dynamic Priority stays robust;
-* :func:`replacement_ablation` — LRU vs FIFO vs CLOCK vs Random vs
-  Belady, demonstrating section 2's "minimizing cache misses is not the
-  same as minimizing makespan";
-* :func:`shared_pages_ablation` — non-disjoint access sequences, the
+* ``ASYMMETRIC`` (``ablation_asymmetric``) — unequal per-thread work,
+  where the paper predicts Cycle Priority "continuously places the same
+  thread behind the most demanding thread" while Dynamic Priority stays
+  robust;
+* ``REPLACEMENT`` (``ablation_replacement``) — LRU vs FIFO vs CLOCK vs
+  Random vs Belady, demonstrating section 2's "minimizing cache misses
+  is not the same as minimizing makespan";
+* ``SHARED`` (``ablation_shared``) — non-disjoint access sequences, the
   paper's section 6.1 future work: as the shared fraction grows, shared
   fetches amortize across cores and Priority's starvation softens (a
   high-priority thread prefetches for everyone);
-* :func:`frfcfs_ablation` — the FR-FCFS discipline of real controllers
-  (section 1.3): being a FIFO variant, it inherits FIFO's Omega(p)
-  pathology on the adversarial workload, which is exactly why the paper
-  argues for priority-based controller hardware.
+* ``FRFCFS`` (``ablation_fr_fcfs``) — the FR-FCFS discipline of real
+  controllers (section 1.3): being a FIFO variant, it inherits FIFO's
+  Omega(p) pathology on the adversarial workload, which is exactly why
+  the paper argues for priority-based controller hardware.
 
 All six are sweep campaigns: each declares its job grid and reduces
 the resulting records, so every ablation shares the process pool and
@@ -36,16 +38,9 @@ from __future__ import annotations
 
 from ..analysis import SweepJob, WorkloadSpec, format_table, line_plot
 from ..core import SimulationConfig
-from .base import Campaign, CampaignContext, ExperimentOutput, Reduction
+from .base import Campaign, CampaignContext, Reduction
 
-__all__ = [
-    "channels_ablation",
-    "permutation_scheme_ablation",
-    "asymmetric_work_ablation",
-    "replacement_ablation",
-    "shared_pages_ablation",
-    "frfcfs_ablation",
-]
+__all__ = ["ASYMMETRIC", "CHANNELS", "FRFCFS", "REPLACEMENT", "SCHEMES", "SHARED"]
 
 
 def _channels_settings(scale: str):
@@ -114,25 +109,20 @@ def _channels_reduce(ctx: CampaignContext, records) -> Reduction:
     )
 
 
+# FIFO vs Priority as the far-channel count q grows from 1 to 10.
+#
+# Findings at paper scale: FIFO improves proportionally to q (its
+# makespan is serialized transfer time), closing the gap Theorem 2
+# predicts bandwidth augmentation should divide; Priority improves
+# little and can even degrade slightly at large q, because concurrent
+# fetchers from many threads pollute the leaders' LRU working sets —
+# the empirical face of Theorem 3's O(q) competitive ratio.
 CHANNELS = Campaign.sweep(
     "ablation_channels",
     "Ablation: far-channel count q in 1..10",
     _channels_jobs,
     _channels_reduce,
 )
-
-
-def channels_ablation(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentOutput:
-    """FIFO vs Priority as the far-channel count q grows from 1 to 10.
-
-    Findings at paper scale: FIFO improves proportionally to q (its
-    makespan is serialized transfer time), closing the gap Theorem 2
-    predicts bandwidth augmentation should divide; Priority improves
-    little and can even degrade slightly at large q, because concurrent
-    fetchers from many threads pollute the leaders' LRU working sets —
-    the empirical face of Theorem 3's O(q) competitive ratio.
-    """
-    return CHANNELS.run(scale, processes, cache_dir, seed)
 
 
 _SCHEME_REMAPPERS = (
@@ -207,19 +197,13 @@ def _schemes_reduce(ctx: CampaignContext, records) -> Reduction:
     )
 
 
+# All permutation schemes at a contended point (balanced work).
 SCHEMES = Campaign.sweep(
     "ablation_schemes",
     "Ablation: priority permutation schemes (balanced work)",
     _schemes_jobs,
     _schemes_reduce,
 )
-
-
-def permutation_scheme_ablation(
-    scale="smoke", processes=None, cache_dir=None, seed=0
-) -> ExperimentOutput:
-    """All permutation schemes at a contended point (balanced work)."""
-    return SCHEMES.run(scale, processes, cache_dir, seed)
 
 
 def _asymmetric_jobs(ctx: CampaignContext) -> list[SweepJob]:
@@ -277,25 +261,18 @@ def _asymmetric_reduce(ctx: CampaignContext, records) -> Reduction:
     )
 
 
+# Unequal work distribution: Dynamic vs Cycle starvation.
+#
+# The paper (section 4): "When the work is asymmetric, Cycle Priority
+# continuously places the same thread behind the most demanding
+# thread, causing small amounts of starvation." We give thread 0 a
+# several-times-larger instance and compare worst-thread starvation.
 ASYMMETRIC = Campaign.sweep(
     "ablation_asymmetric",
     "Ablation: asymmetric work (Dynamic vs Cycle Priority)",
     _asymmetric_jobs,
     _asymmetric_reduce,
 )
-
-
-def asymmetric_work_ablation(
-    scale="smoke", processes=None, cache_dir=None, seed=0
-) -> ExperimentOutput:
-    """Unequal work distribution: Dynamic vs Cycle starvation.
-
-    The paper (section 4): "When the work is asymmetric, Cycle Priority
-    continuously places the same thread behind the most demanding
-    thread, causing small amounts of starvation." We give thread 0 a
-    several-times-larger instance and compare worst-thread starvation.
-    """
-    return ASYMMETRIC.run(scale, processes, cache_dir, seed)
 
 
 _REPLACEMENTS = ("lru", "fifo", "clock", "random", "mru", "belady")
@@ -357,25 +334,18 @@ def _replacement_reduce(ctx: CampaignContext, records) -> Reduction:
     )
 
 
+# Replacement policies under Priority arbitration.
+#
+# Demonstrates section 2's "minimizing cache misses is not the same as
+# minimizing makespan": the Belady baseline minimizes misses per
+# stream yet does not necessarily minimize makespan, while LRU-family
+# policies all land close together (replacement "is not the problem").
 REPLACEMENT = Campaign.sweep(
     "ablation_replacement",
     "Ablation: HBM replacement policies",
     _replacement_jobs,
     _replacement_reduce,
 )
-
-
-def replacement_ablation(
-    scale="smoke", processes=None, cache_dir=None, seed=0
-) -> ExperimentOutput:
-    """Replacement policies under Priority arbitration.
-
-    Demonstrates section 2's "minimizing cache misses is not the same as
-    minimizing makespan": the Belady baseline minimizes misses per
-    stream yet does not necessarily minimize makespan, while LRU-family
-    policies all land close together (replacement "is not the problem").
-    """
-    return REPLACEMENT.run(scale, processes, cache_dir, seed)
 
 
 _SHARED_FRACTIONS = (0.0, 0.25, 0.5, 0.9)
@@ -455,27 +425,20 @@ def _shared_reduce(ctx: CampaignContext, records) -> Reduction:
     )
 
 
+# Non-disjoint sequences (section 6.1 future work).
+#
+# Sweeps the fraction of references landing in a common shared
+# segment while holding each thread's reference count and the total
+# page universe fixed. Expectations: far-channel traffic (fetches)
+# falls as sharing grows (one fetch serves many cores), and every
+# policy still completes — the simulator is well-defined outside
+# Property 1 even though the theory is not.
 SHARED = Campaign.sweep(
     "ablation_shared",
     "Ablation: non-disjoint access sequences (section 6.1)",
     _shared_jobs,
     _shared_reduce,
 )
-
-
-def shared_pages_ablation(
-    scale="smoke", processes=None, cache_dir=None, seed=0
-) -> ExperimentOutput:
-    """Non-disjoint sequences (section 6.1 future work).
-
-    Sweeps the fraction of references landing in a common shared
-    segment while holding each thread's reference count and the total
-    page universe fixed. Expectations: far-channel traffic (fetches)
-    falls as sharing grows (one fetch serves many cores), and every
-    policy still completes — the simulator is well-defined outside
-    Property 1 even though the theory is not.
-    """
-    return SHARED.run(scale, processes, cache_dir, seed)
 
 
 def _frfcfs_settings(scale: str):
@@ -550,29 +513,22 @@ def _frfcfs_reduce(ctx: CampaignContext, records) -> Reduction:
     )
 
 
+# FR-FCFS (real-hardware FCFS variant) vs FIFO vs Priority.
+#
+# Section 1.3: Intel's far-channel arbitration is "likely a solution
+# based on [49] ... first-ready first-come-first-served. As the name
+# implies, this is a variant of FCFS". On the Dataset 3 adversary the
+# measurement is nuanced and supports the paper's core thesis from an
+# unexpected direction: because a DRAM row spans several threads'
+# page blocks, the open-row preference *clusters* service on a few
+# threads at a time — an implicit, locality-driven priority — so
+# FR-FCFS beats pure FIFO at scale. Reordering is exactly what
+# matters (the paper's point); but the accidental clustering is far
+# weaker than an explicit pecking order, so FR-FCFS still trails
+# Priority by a growing factor.
 FRFCFS = Campaign.sweep(
     "ablation_fr_fcfs",
     "Ablation: FR-FCFS (real-controller FCFS variant)",
     _frfcfs_jobs,
     _frfcfs_reduce,
 )
-
-
-def frfcfs_ablation(
-    scale="smoke", processes=None, cache_dir=None, seed=0
-) -> ExperimentOutput:
-    """FR-FCFS (real-hardware FCFS variant) vs FIFO vs Priority.
-
-    Section 1.3: Intel's far-channel arbitration is "likely a solution
-    based on [49] ... first-ready first-come-first-served. As the name
-    implies, this is a variant of FCFS". On the Dataset 3 adversary the
-    measurement is nuanced and supports the paper's core thesis from an
-    unexpected direction: because a DRAM row spans several threads'
-    page blocks, the open-row preference *clusters* service on a few
-    threads at a time — an implicit, locality-driven priority — so
-    FR-FCFS beats pure FIFO at scale. Reordering is exactly what
-    matters (the paper's point); but the accidental clustering is far
-    weaker than an explicit pecking order, so FR-FCFS still trails
-    Priority by a growing factor.
-    """
-    return FRFCFS.run(scale, processes, cache_dir, seed)

@@ -24,14 +24,16 @@ Experiments are declared as :class:`Campaign` objects — a *jobs
 builder* (context -> :class:`~repro.analysis.SweepJob` list), a
 *reducer* (records -> :class:`Reduction` of rows/checks/data), and an
 optional *renderer* (reduction -> terminal text). :meth:`Campaign.run`
-executes the jobs through the one shared
-:class:`~repro.analysis.SweepRunner`, so every experiment — makespan
-sweeps, fairness/response-time studies, theory harnesses — gets the
-process pool, persistent result cache, payload replay, run manifests,
-and campaign telemetry without touching an engine directly. Experiments
+executes the jobs on the :class:`~repro.analysis.SweepRunner` it is
+handed, so every experiment — makespan sweeps, fairness/response-time
+studies, theory harnesses — gets the process pool, persistent result
+cache, payload replay, run manifests, and campaign telemetry without
+touching an engine directly. Experiments
 with no simulation at all (machine-model microbenchmarks, PRAM step
 counts) use :meth:`Campaign.local`, which skips the sweep stage but
-keeps the same output/persistence contract.
+keeps the same output/persistence contract. An experiment read off
+other experiments' outputs (both panels of a figure, Table 1 from
+Figure 5's sweep) is a :class:`Composite` of their registry ids.
 
 :func:`save_experiment_output` persists a finished output to
 ``<base_dir>/<experiment_id>/`` as ``rows.csv`` + ``report.txt`` +
@@ -47,11 +49,10 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ..analysis.sweep import CampaignStats, SweepJob, SweepRecord, SweepRunner
 from ..core.engine import ENGINE_SEMANTICS_VERSION
-from ..analysis.telemetry import default_telemetry
 from ..obs.log import get_logger, warn_once
 from ..obs.manifest import host_info
 from ..obs.metrics import phase, set_active_registry
@@ -63,10 +64,12 @@ __all__ = [
     "CAMPAIGN_MANIFEST_SCHEMA",
     "Campaign",
     "CampaignContext",
+    "Composite",
     "ExperimentOutput",
     "Reduction",
     "Scale",
     "merge_campaign_stats",
+    "panel_composite",
     "require_scale",
     "save_experiment_output",
 ]
@@ -140,7 +143,6 @@ class CampaignContext:
     experiment_id: str
     scale: str
     seed: int = 0
-    processes: int | None = None
     cache_dir: str | None = None
 
     def build_workload(self, spec: Any) -> Workload:
@@ -207,10 +209,7 @@ class Campaign:
 
     Use :meth:`sweep` for simulation-backed experiments and
     :meth:`local` for analytic/microbenchmark experiments with no sweep
-    jobs. Campaigns are callable with the classic experiment signature
-    ``(scale, processes, cache_dir, seed)`` so the registry and every
-    existing call site treat them exactly like the plain functions they
-    replace.
+    jobs.
     """
 
     experiment_id: str
@@ -257,16 +256,21 @@ class Campaign:
     def run(
         self,
         scale: str = "smoke",
-        processes: int | None = None,
-        cache_dir=None,
         seed: int = 0,
+        runner: SweepRunner | None = None,
     ) -> ExperimentOutput:
+        """Build, execute and reduce the campaign on ``runner``.
+
+        The runner decides how jobs run (pool, store, retries, shard)
+        and which telemetry sink they report to; ``None`` means a
+        default :class:`~repro.analysis.SweepRunner`.
+        """
+        runner = runner if runner is not None else SweepRunner()
         ctx = CampaignContext(
             experiment_id=self.experiment_id,
             scale=require_scale(scale),
             seed=seed,
-            processes=processes,
-            cache_dir=str(cache_dir) if cache_dir is not None else None,
+            cache_dir=runner.cache_dir,
         )
         drain_only = False
         if self.build_jobs is not None:
@@ -274,11 +278,10 @@ class Campaign:
                 raise TypeError(
                     f"campaign {self.experiment_id!r} has jobs but no reducer"
                 )
-            runner = SweepRunner(processes=processes, cache_dir=cache_dir)
             # Keep the campaign registry active across the reduce step
             # so its wall time lands in the phase profile too; the
             # runner installs/restores the same registry internally.
-            tele = default_telemetry()
+            tele = runner.telemetry
             previous_registry = (
                 set_active_registry(tele.registry) if tele is not None else None
             )
@@ -361,14 +364,51 @@ class Campaign:
             data=data,
         )
 
-    def __call__(
-        self,
-        scale: str = "smoke",
-        processes: int | None = None,
-        cache_dir=None,
-        seed: int = 0,
-    ) -> ExperimentOutput:
-        return self.run(scale=scale, processes=processes, cache_dir=cache_dir, seed=seed)
+
+@dataclass(frozen=True)
+class Composite:
+    """An experiment read off other registry experiments' outputs.
+
+    ``panels`` are the registry ids it needs; ``combine`` turns their
+    outputs, in ``panels`` order, into this experiment's output. The
+    registry produces each panel once per invocation, so a composite
+    and its panels run in one ``repro run`` share one simulation.
+    """
+
+    panels: tuple[str, ...]
+    combine: Callable[[Sequence[ExperimentOutput]], ExperimentOutput]
+
+
+def panel_composite(
+    experiment_id: str, title: str, panels: Mapping[str, str]
+) -> Composite:
+    """A composite that concatenates its panels (label -> registry id).
+
+    Rows and rendered reports are concatenated in panel order, check
+    names are prefixed with the panel label, and campaign telemetry is
+    merged so the composite's manifest still reports total jobs and
+    cache hits across every panel.
+    """
+    labels = tuple(panels)
+
+    def combine(outputs: Sequence[ExperimentOutput]) -> ExperimentOutput:
+        checks: dict[str, bool] = {}
+        for label, out in zip(labels, outputs):
+            checks.update({f"{label}_{name}": ok for name, ok in out.checks.items()})
+        return ExperimentOutput(
+            experiment_id=experiment_id,
+            title=title,
+            scale=outputs[0].scale,
+            rows=[row for out in outputs for row in out.rows],
+            text="\n\n".join(out.render() for out in outputs),
+            checks=checks,
+            data={
+                **{out.experiment_id: out.data for out in outputs},
+                "campaign": merge_campaign_stats([out.campaign for out in outputs]),
+            },
+        )
+
+    return Composite(tuple(panels.values()), combine)
 
 
 def merge_campaign_stats(

@@ -18,7 +18,8 @@ thrashes.
 Both panels (and Figure 4's, which reuses the grid with Dynamic
 Priority) are :class:`~repro.experiments.base.Campaign` s built by
 :func:`ratio_campaign`: one jobs builder for the policy-pair grid, one
-reducer for the ratio rows, a parameterizable check set.
+reducer for the ratio rows, a parameterizable check set. ``fig2`` is
+the composite of the two panel ids.
 """
 
 from __future__ import annotations
@@ -33,16 +34,9 @@ from ..analysis import (
     ratio_series,
 )
 from ..core import SimulationConfig
-from .base import (
-    Campaign,
-    CampaignContext,
-    ExperimentOutput,
-    Reduction,
-    merge_campaign_stats,
-    require_scale,
-)
+from .base import Campaign, CampaignContext, Reduction, panel_composite
 
-__all__ = ["figure2", "figure2a", "figure2b", "FIG2_SETTINGS", "ratio_campaign"]
+__all__ = ["FIG2", "FIG2A", "FIG2B", "FIG2_SETTINGS", "ratio_campaign"]
 
 #: workload generator settings per dataset and scale
 FIG2_SETTINGS: dict[str, dict[str, dict[str, Any]]] = {
@@ -222,70 +216,6 @@ FIG2B = ratio_campaign(
 )
 
 
-def figure2a(
-    scale: str = "smoke",
-    processes: int | None = None,
-    cache_dir=None,
-    seed: int = 0,
-) -> ExperimentOutput:
-    """Figure 2a: FIFO vs Priority on SpGEMM."""
-    return FIG2A.run(scale, processes, cache_dir, seed)
-
-
-def figure2b(
-    scale: str = "smoke",
-    processes: int | None = None,
-    cache_dir=None,
-    seed: int = 0,
-) -> ExperimentOutput:
-    """Figure 2b: FIFO vs Priority on GNU sort."""
-    return FIG2B.run(scale, processes, cache_dir, seed)
-
-
-def combine_panels(
-    experiment_id: str,
-    title: str,
-    scale: str,
-    panels: dict[str, ExperimentOutput],
-) -> ExperimentOutput:
-    """Concatenate per-panel outputs into one composite experiment.
-
-    Check names are prefixed with the panel label; campaign telemetry
-    is merged so a composite's manifest still reports total jobs and
-    cache hits across every panel it ran.
-    """
-    require_scale(scale)
-    outputs = list(panels.values())
-    checks: dict[str, bool] = {}
-    for label, out in panels.items():
-        checks.update({f"{label}_{name}": ok for name, ok in out.checks.items()})
-    return ExperimentOutput(
-        experiment_id=experiment_id,
-        title=title,
-        scale=scale,
-        rows=[row for out in outputs for row in out.rows],
-        text="\n\n".join(out.render() for out in outputs),
-        checks=checks,
-        data={
-            **{out.experiment_id: out.data for out in outputs},
-            "campaign": merge_campaign_stats([out.campaign for out in outputs]),
-        },
-    )
-
-
-def figure2(
-    scale: str = "smoke",
-    processes: int | None = None,
-    cache_dir=None,
-    seed: int = 0,
-) -> ExperimentOutput:
-    """Both panels of Figure 2, concatenated."""
-    return combine_panels(
-        "fig2",
-        "Figure 2: FIFO vs Priority",
-        scale,
-        {
-            "2a": figure2a(scale, processes, cache_dir, seed),
-            "2b": figure2b(scale, processes, cache_dir, seed),
-        },
-    )
+FIG2 = panel_composite(
+    "fig2", "Figure 2: FIFO vs Priority", {"2a": "fig2a", "2b": "fig2b"}
+)

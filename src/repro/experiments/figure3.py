@@ -19,9 +19,9 @@ from typing import Any
 
 from ..analysis import format_table, line_plot
 from ..theory import fcfs_gap_jobs, fcfs_gap_points, fit_linear
-from .base import Campaign, CampaignContext, ExperimentOutput, Reduction
+from .base import Campaign, CampaignContext, Reduction
 
-__all__ = ["figure3", "FIG3_SETTINGS"]
+__all__ = ["FIG3", "FIG3_SETTINGS"]
 
 FIG3_SETTINGS: dict[str, dict[str, Any]] = {
     "smoke": dict(
@@ -107,13 +107,3 @@ FIG3 = Campaign.sweep(
     _build_jobs,
     _reduce,
 )
-
-
-def figure3(
-    scale: str = "smoke",
-    processes: int | None = None,
-    cache_dir=None,
-    seed: int = 0,
-) -> ExperimentOutput:
-    """Regenerate Figure 3 (FIFO vs Priority on Dataset 3)."""
-    return FIG3.run(scale, processes, cache_dir, seed)

@@ -8,15 +8,16 @@ makespan is at least as good as FIFO's, while keeping Priority's
 high-thread-count dominance.
 
 Both panels reuse Figure 2's :func:`~repro.experiments.figure2.ratio_campaign`
-with Figure 4's own claim set swapped in via ``checks_fn``.
+with Figure 4's own claim set swapped in via ``checks_fn``; ``fig4`` is
+the composite of the two panel ids.
 """
 
 from __future__ import annotations
 
-from .base import ExperimentOutput
-from .figure2 import combine_panels, ratio_campaign
+from .base import panel_composite
+from .figure2 import ratio_campaign
 
-__all__ = ["figure4", "figure4a", "figure4b", "REMAP_MULTIPLIER"]
+__all__ = ["FIG4", "FIG4A", "FIG4B", "REMAP_MULTIPLIER"]
 
 #: the paper randomizes every 10 * k ticks in Figure 4
 REMAP_MULTIPLIER = 10
@@ -59,39 +60,6 @@ FIG4B = ratio_campaign(
 )
 
 
-def figure4a(
-    scale: str = "smoke",
-    processes: int | None = None,
-    cache_dir=None,
-    seed: int = 0,
-) -> ExperimentOutput:
-    """Figure 4a: FIFO vs Dynamic Priority on SpGEMM."""
-    return FIG4A.run(scale, processes, cache_dir, seed)
-
-
-def figure4b(
-    scale: str = "smoke",
-    processes: int | None = None,
-    cache_dir=None,
-    seed: int = 0,
-) -> ExperimentOutput:
-    """Figure 4b: FIFO vs Dynamic Priority on GNU sort."""
-    return FIG4B.run(scale, processes, cache_dir, seed)
-
-
-def figure4(
-    scale: str = "smoke",
-    processes: int | None = None,
-    cache_dir=None,
-    seed: int = 0,
-) -> ExperimentOutput:
-    """Both panels of Figure 4, concatenated."""
-    return combine_panels(
-        "fig4",
-        "Figure 4: Dynamic Priority vs FIFO",
-        scale,
-        {
-            "4a": figure4a(scale, processes, cache_dir, seed),
-            "4b": figure4b(scale, processes, cache_dir, seed),
-        },
-    )
+FIG4 = panel_composite(
+    "fig4", "Figure 4: Dynamic Priority vs FIFO", {"4a": "fig4a", "4b": "fig4b"}
+)

@@ -25,7 +25,7 @@ payload — no re-simulation, no separate instrumented run.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from ..analysis import (
     PayloadRequest,
@@ -36,10 +36,17 @@ from ..analysis import (
     scatter_plot,
 )
 from ..core import SimulationConfig
-from .base import Campaign, CampaignContext, ExperimentOutput, Reduction
-from .figure2 import combine_panels
+from .base import (
+    Campaign,
+    CampaignContext,
+    Composite,
+    ExperimentOutput,
+    Reduction,
+    merge_campaign_stats,
+    panel_composite,
+)
 
-__all__ = ["figure5", "figure5a", "figure5b", "table1", "FIG5_SETTINGS"]
+__all__ = ["FIG5", "FIG5A", "FIG5B", "FIG5_SETTINGS", "TAB1"]
 
 #: permutation-interval multipliers of the paper (T = mult * k)
 T_MULTIPLIERS = (1, 5, 10, 100)
@@ -244,45 +251,21 @@ FIG5B = _panel_campaign(
 )
 
 
-def figure5a(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentOutput:
-    """Figure 5a / Table 1a: tradeoff on SpGEMM."""
-    return FIG5A.run(scale, processes, cache_dir, seed)
+FIG5 = panel_composite(
+    "fig5",
+    "Figure 5: inconsistency-makespan tradeoff",
+    {"5a": "fig5a", "5b": "fig5b"},
+)
 
 
-def figure5b(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentOutput:
-    """Figure 5b / Table 1b: tradeoff on GNU sort."""
-    return FIG5B.run(scale, processes, cache_dir, seed)
-
-
-def figure5(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentOutput:
-    """Both panels of Figure 5."""
-    return combine_panels(
-        "fig5",
-        "Figure 5: inconsistency-makespan tradeoff",
-        scale,
-        {
-            "5a": figure5a(scale, processes, cache_dir, seed),
-            "5b": figure5b(scale, processes, cache_dir, seed),
-        },
-    )
-
-
-def table1(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentOutput:
-    """Table 1: inconsistency and mean response time per policy.
-
-    Same sweep as Figure 5; rendered in the paper's table layout
-    (policy, inconsistency, response time) for both datasets.
-    """
-    from .base import merge_campaign_stats
-
-    outputs = {
-        "a (SpGEMM)": figure5a(scale, processes, cache_dir, seed),
-        "b (GNU sort)": figure5b(scale, processes, cache_dir, seed),
-    }
+def _table1(outputs: Sequence[ExperimentOutput]) -> ExperimentOutput:
+    """Table 1 in the paper's layout (policy, inconsistency, response
+    time), read off both Figure 5 panels' rows."""
+    panels = dict(zip(("a (SpGEMM)", "b (GNU sort)"), outputs))
     rows = []
     texts = []
     checks: dict[str, bool] = {}
-    for panel, out in outputs.items():
+    for panel, out in panels.items():
         table_rows = [
             {
                 "panel": panel,
@@ -298,14 +281,17 @@ def table1(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentO
     return ExperimentOutput(
         experiment_id="tab1",
         title="Table 1: inconsistency and average response time",
-        scale=scale,
+        scale=outputs[0].scale,
         rows=rows,
         text="\n\n".join(texts),
         checks=checks,
         data={
-            **{k: v.data for k, v in outputs.items()},
-            "campaign": merge_campaign_stats(
-                [out.campaign for out in outputs.values()]
-            ),
+            **{k: v.data for k, v in panels.items()},
+            "campaign": merge_campaign_stats([out.campaign for out in outputs]),
         },
     )
+
+
+#: Table 1 is the same sweep as Figure 5, so it is a composite of the
+#: two panel ids rather than a campaign of its own
+TAB1 = Composite(("fig5a", "fig5b"), _table1)

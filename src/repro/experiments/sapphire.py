@@ -30,9 +30,9 @@ from ..machine import (
     spr_hybrid_mode,
     spr_machines,
 )
-from .base import ExperimentOutput, require_scale
+from .base import Campaign, CampaignContext, Reduction
 
-__all__ = ["sapphire_projection"]
+__all__ = ["SAPPHIRE"]
 
 _MODES = ("DRAM", "HBM", "Cache", "HBM-only")
 
@@ -41,22 +41,21 @@ def _label(nbytes: int) -> str:
     return f"{nbytes // GIB}GiB" if nbytes >= GIB else f"{nbytes // MIB}MiB"
 
 
-def sapphire_projection(
-    scale="smoke", processes=None, cache_dir=None, seed=0
-) -> ExperimentOutput:
+def _sapphire(ctx: CampaignContext) -> Reduction:
     """Section 5 microbenchmarks projected onto Sapphire Rapids."""
-    require_scale(scale)
-    operations = 1 << (12 if scale == "smoke" else 16)
+    operations = 1 << (12 if ctx.scale == "smoke" else 16)
     machines = spr_machines()
     lat_sizes = [64 * MIB, 1 * GIB, 16 * GIB, 64 * GIB, 128 * GIB, 512 * GIB]
     bw_sizes = [16 * GIB, 64 * GIB, 128 * GIB, 256 * GIB, 512 * GIB]
 
-    latency = pointer_chase_curve(machines, lat_sizes, operations=operations, seed=seed)
+    latency = pointer_chase_curve(
+        machines, lat_sizes, operations=operations, seed=ctx.seed
+    )
     bandwidth = glups_curve(
         machines,
         bw_sizes,
         threads=SPR_THREADS,
-        seed=seed,
+        seed=ctx.seed,
         per_thread_mib_s=SPR_PER_THREAD_MIB_S,
     )
     hybrid = spr_hybrid_mode(0.5)
@@ -118,12 +117,16 @@ def sapphire_projection(
             f"{SPR_HBM_BYTES // GIB}GiB HBM2e)"
         ),
     )
-    return ExperimentOutput(
-        experiment_id="sapphire",
-        title="Sapphire Rapids projection of the section 5 microbenchmarks",
-        scale=scale,
+    return Reduction(
         rows=rows,
-        text=text,
         checks=checks,
         data={"latency": latency, "bandwidth": bandwidth},
+        text=text,
     )
+
+
+SAPPHIRE = Campaign.local(
+    "sapphire",
+    "Sapphire Rapids projection of the section 5 microbenchmarks",
+    _sapphire,
+)

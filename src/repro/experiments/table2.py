@@ -26,9 +26,9 @@ from ..machine import (
     knl_machines,
     pointer_chase_curve,
 )
-from .base import ExperimentOutput, require_scale
+from .base import Campaign, CampaignContext, Reduction, panel_composite
 
-__all__ = ["table2a", "table2b", "figure6", "table2"]
+__all__ = ["FIG6", "TAB2", "TAB2A", "TAB2B"]
 
 #: paper's reference cells for calibration-drift reporting (ns)
 PAPER_TABLE_2A = {
@@ -48,13 +48,12 @@ def _size_label(nbytes: int) -> str:
     return f"{nbytes // KIB}KiB"
 
 
-def table2a(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentOutput:
+def _table2a(ctx: CampaignContext) -> Reduction:
     """Table 2a: pointer-chase latency for DRAM / HBM / Cache modes."""
-    require_scale(scale)
-    operations = 1 << (13 if scale == "smoke" else 17)
+    operations = 1 << (13 if ctx.scale == "smoke" else 17)
     sizes = [s for s in default_latency_sizes(16 * MIB, 64 * GIB)]
     machines = knl_machines()
-    curves = pointer_chase_curve(machines, sizes, operations=operations, seed=seed)
+    curves = pointer_chase_curve(machines, sizes, operations=operations, seed=ctx.seed)
 
     rows = []
     for i, size in enumerate(sizes):
@@ -96,10 +95,7 @@ def table2a(scale="smoke", processes=None, cache_dir=None, seed=0) -> Experiment
         ),
     }
     text = format_table(rows, title="Table 2a: pointer-chase latency (ns)")
-    return ExperimentOutput(
-        experiment_id="tab2a",
-        title="Table 2a: pointer-chase latency",
-        scale=scale,
+    return Reduction(
         rows=rows,
         text=text,
         checks=checks,
@@ -107,12 +103,14 @@ def table2a(scale="smoke", processes=None, cache_dir=None, seed=0) -> Experiment
     )
 
 
-def table2b(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentOutput:
+TAB2A = Campaign.local("tab2a", "Table 2a: pointer-chase latency", _table2a)
+
+
+def _table2b(ctx: CampaignContext) -> Reduction:
     """Table 2b: GLUPS bandwidth for DRAM / HBM / Cache modes."""
-    require_scale(scale)
     sizes = default_bandwidth_sizes(512 * MIB, 64 * GIB)
     machines = knl_machines()
-    curves = glups_curve(machines, sizes, threads=272, seed=seed)
+    curves = glups_curve(machines, sizes, threads=272, seed=ctx.seed)
 
     rows = []
     for i, size in enumerate(sizes):
@@ -141,10 +139,7 @@ def table2b(scale="smoke", processes=None, cache_dir=None, seed=0) -> Experiment
         "hbm_unallocatable_past_8gib": bw("HBM", 16 * GIB) is None,
     }
     text = format_table(rows, title="Table 2b: GLUPS bandwidth (MiB/s), 272 threads")
-    return ExperimentOutput(
-        experiment_id="tab2b",
-        title="Table 2b: GLUPS bandwidth",
-        scale=scale,
+    return Reduction(
         rows=rows,
         text=text,
         checks=checks,
@@ -152,17 +147,19 @@ def table2b(scale="smoke", processes=None, cache_dir=None, seed=0) -> Experiment
     )
 
 
-def figure6(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentOutput:
+TAB2B = Campaign.local("tab2b", "Table 2b: GLUPS bandwidth", _table2b)
+
+
+def _figure6(ctx: CampaignContext) -> Reduction:
     """Figure 6: latency curves from 1KiB to 64GiB (6a) and zoomed (6b).
 
     The full sweep exposes the L1 / L2 / mesh plateaus the paper marks
     with dotted lines; the zoomed panel is Table 2a's range.
     """
-    require_scale(scale)
-    operations = 1 << (13 if scale == "smoke" else 17)
+    operations = 1 << (13 if ctx.scale == "smoke" else 17)
     sizes = default_latency_sizes(1 * KIB, 64 * GIB)
     machines = knl_machines()
-    curves = pointer_chase_curve(machines, sizes, operations=operations, seed=seed)
+    curves = pointer_chase_curve(machines, sizes, operations=operations, seed=ctx.seed)
 
     rows = []
     for i, size in enumerate(sizes):
@@ -213,10 +210,7 @@ def figure6(scale="smoke", processes=None, cache_dir=None, seed=0) -> Experiment
         width=70,
     )
     text = format_table(rows, title="Figure 6 data") + "\n\n" + plot + "\n\n" + zoom
-    return ExperimentOutput(
-        experiment_id="fig6",
-        title="Figure 6: pointer chasing on HBM, DRAM, and HBM-as-cache",
-        scale=scale,
+    return Reduction(
         rows=rows,
         text=text,
         checks=checks,
@@ -224,19 +218,10 @@ def figure6(scale="smoke", processes=None, cache_dir=None, seed=0) -> Experiment
     )
 
 
-def table2(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentOutput:
-    """Both halves of Table 2."""
-    a = table2a(scale, processes, cache_dir, seed)
-    b = table2b(scale, processes, cache_dir, seed)
-    return ExperimentOutput(
-        experiment_id="tab2",
-        title="Table 2: KNL microbenchmarks",
-        scale=scale,
-        rows=a.rows + b.rows,
-        text=a.render() + "\n\n" + b.render(),
-        checks={
-            **{f"2a_{k}": v for k, v in a.checks.items()},
-            **{f"2b_{k}": v for k, v in b.checks.items()},
-        },
-        data={"tab2a": a.data, "tab2b": b.data},
-    )
+FIG6 = Campaign.local(
+    "fig6", "Figure 6: pointer chasing on HBM, DRAM, and HBM-as-cache", _figure6
+)
+
+TAB2 = panel_composite(
+    "tab2", "Table 2: KNL microbenchmarks", {"2a": "tab2a", "2b": "tab2b"}
+)

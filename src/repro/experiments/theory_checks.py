@@ -35,9 +35,9 @@ from ..theory import (
     fcfs_gap_points,
     fit_linear,
 )
-from .base import Campaign, CampaignContext, ExperimentOutput, Reduction
+from .base import Campaign, CampaignContext, Reduction
 
-__all__ = ["theorem1_3", "theorem2", "lemma1", "theorem4", "response_bound"]
+__all__ = ["LEMMA1", "RESPONSE_BOUND", "THM1_3", "THM2", "THM4"]
 
 #: arbitration policies raced against Priority in the thm1_3 portfolio
 _PORTFOLIO = ("fifo", "priority", "dynamic_priority", "cycle_priority", "random")
@@ -157,30 +157,25 @@ def _thm1_3_reduce(ctx: CampaignContext, records) -> Reduction:
     )
 
 
+# Priority's empirical competitive ratio across workloads, k, and q.
+#
+# Two yardsticks, because OPT is intractable:
+#
+# * the **certified lower bound** (serial / channel / per-stream
+#   Belady capacity) — sound but loose exactly where parallel paging
+#   is hard (many working sets that cannot fit concurrently), so its
+#   ratio is reported, not asserted against a constant;
+# * a **best-of-portfolio** proxy — the minimum makespan over every
+#   implemented arbitration policy on the same instance. Priority
+#   staying within a small factor of the best-known schedule across
+#   the whole grid is the falsifiable form of Theorem 1/3 here (FIFO
+#   fails it by a factor that grows with p, see thm2/fig3).
 THM1_3 = Campaign.sweep(
     "thm1_3",
     "Theorems 1 & 3: Priority competitiveness vs lower bounds",
     _thm1_3_jobs,
     _thm1_3_reduce,
 )
-
-
-def theorem1_3(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentOutput:
-    """Priority's empirical competitive ratio across workloads, k, and q.
-
-    Two yardsticks, because OPT is intractable:
-
-    * the **certified lower bound** (serial / channel / per-stream
-      Belady capacity) — sound but loose exactly where parallel paging
-      is hard (many working sets that cannot fit concurrently), so its
-      ratio is reported, not asserted against a constant;
-    * a **best-of-portfolio** proxy — the minimum makespan over every
-      implemented arbitration policy on the same instance. Priority
-      staying within a small factor of the best-known schedule across
-      the whole grid is the falsifiable form of Theorem 1/3 here (FIFO
-      fails it by a factor that grows with p, see thm2/fig3).
-    """
-    return THM1_3.run(scale, processes, cache_dir, seed)
 
 
 def _thm2_settings(scale: str):
@@ -231,17 +226,13 @@ def _thm2_reduce(ctx: CampaignContext, records) -> Reduction:
     )
 
 
+# The FCFS Omega(p) gap grows linearly in p.
 THM2 = Campaign.sweep(
     "thm2",
     "Theorem 2: FCFS lower-bound family",
     _thm2_jobs,
     _thm2_reduce,
 )
-
-
-def theorem2(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentOutput:
-    """The FCFS Omega(p) gap grows linearly in p."""
-    return THM2.run(scale, processes, cache_dir, seed)
 
 
 def _lemma1_compute(ctx: CampaignContext) -> Reduction:
@@ -289,16 +280,12 @@ def _lemma1_compute(ctx: CampaignContext) -> Reduction:
     )
 
 
+# Direct-mapped simulation overhead is O(1), independent of k.
 LEMMA1 = Campaign.local(
     "lemma1",
     "Lemma 1: fully-associative -> direct-mapped transformation",
     _lemma1_compute,
 )
-
-
-def lemma1(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentOutput:
-    """Direct-mapped simulation overhead is O(1), independent of k."""
-    return LEMMA1.run(scale, processes, cache_dir, seed)
 
 
 def _thm4_compute(ctx: CampaignContext) -> Reduction:
@@ -328,16 +315,12 @@ def _thm4_compute(ctx: CampaignContext) -> Reduction:
     )
 
 
+# Concurrent front-insert takes O(log x) parallel steps.
 THM4 = Campaign.local(
     "thm4",
     "Theorem 4: concurrent list-front insertion",
     _thm4_compute,
 )
-
-
-def theorem4(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentOutput:
-    """Concurrent front-insert takes O(log x) parallel steps."""
-    return THM4.run(scale, processes, cache_dir, seed)
 
 
 def _response_bound_jobs(ctx: CampaignContext) -> list[SweepJob]:
@@ -388,14 +371,10 @@ def _response_bound_reduce(ctx: CampaignContext, records) -> Reduction:
     )
 
 
+# Section 4's p*T response-time bound for Cycle Priority.
 RESPONSE_BOUND = Campaign.sweep(
     "response_bound",
     "Section 4: Cycle Priority response-time bound p*T",
     _response_bound_jobs,
     _response_bound_reduce,
 )
-
-
-def response_bound(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentOutput:
-    """Section 4's p*T response-time bound for Cycle Priority."""
-    return RESPONSE_BOUND.run(scale, processes, cache_dir, seed)

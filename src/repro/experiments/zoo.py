@@ -44,9 +44,9 @@ from ..analysis import (
 from ..core import ARBITRATION_POLICIES, SimulationConfig
 from ..core.arbitration import _ARBITRATION_CLASSES
 from ..theory import check_latency_bound, dpq_latency_bound
-from .base import Campaign, CampaignContext, ExperimentOutput, Reduction
+from .base import Campaign, CampaignContext, Reduction
 
-__all__ = ["zoo", "ZOO_SETTINGS", "slowdown_spread"]
+__all__ = ["ZOO", "ZOO_SETTINGS", "slowdown_spread"]
 
 #: every zoo record carries its response-time distribution and the
 #: per-thread summaries the fairness column is computed from
@@ -213,8 +213,3 @@ ZOO = Campaign.sweep(
     _zoo_jobs,
     _zoo_reduce,
 )
-
-
-def zoo(scale="smoke", processes=None, cache_dir=None, seed=0) -> ExperimentOutput:
-    """The eleven-policy fairness/makespan/inconsistency comparison."""
-    return ZOO.run(scale, processes, cache_dir, seed)

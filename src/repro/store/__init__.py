@@ -14,13 +14,11 @@ from .base import (
     CampaignCheckpoint,
     ResultStore,
     campaign_id_for,
-    default_store_uri,
     lease_is_stale,
     lease_owner,
     open_store,
     parse_store_uri,
     resolve_store_uri,
-    set_store_default,
     sweep_result_key,
 )
 from .dirstore import DirectoryStore
@@ -34,12 +32,10 @@ __all__ = [
     "ResultStore",
     "SQLiteStore",
     "campaign_id_for",
-    "default_store_uri",
     "lease_is_stale",
     "lease_owner",
     "open_store",
     "parse_store_uri",
     "resolve_store_uri",
-    "set_store_default",
     "sweep_result_key",
 ]

@@ -51,17 +51,15 @@ __all__ = [
     "STORE_ENV",
     "CampaignCheckpoint",
     "ResultStore",
-    "default_store_uri",
     "lease_is_stale",
     "lease_owner",
     "open_store",
     "resolve_store_uri",
-    "set_store_default",
     "sweep_result_key",
 ]
 
-#: environment variable naming the default store URI (CLI ``--store``
-#: overrides it for the process via :func:`set_store_default`)
+#: environment variable naming the default store URI (an explicit
+#: ``--store`` or runner ``store`` argument overrides it)
 STORE_ENV = "REPRO_STORE"
 
 #: bump when the checkpoint layout changes incompatibly
@@ -296,32 +294,7 @@ class ResultStore(ABC):
         """Release backend resources (connections); idempotent."""
 
 
-# -- URI resolution and process-wide default ---------------------------
-
-_STORE_DEFAULT: str | None = None
-
-
-def set_store_default(uri: str | None) -> str | None:
-    """Set the process-wide store URI default; returns the old value.
-
-    Used by the CLI's ``--store`` flag (experiment runners have no
-    store parameter). ``None`` restores the environment/``cache_dir``
-    resolution order.
-    """
-    global _STORE_DEFAULT
-    previous = _STORE_DEFAULT
-    if uri is not None:
-        parse_store_uri(uri)  # validate before installing
-    _STORE_DEFAULT = uri
-    return previous
-
-
-def default_store_uri() -> str | None:
-    """The process default store URI: ``--store`` value if set, else the
-    ``REPRO_STORE`` environment variable, else None."""
-    if _STORE_DEFAULT is not None:
-        return _STORE_DEFAULT
-    return os.environ.get(STORE_ENV) or None
+# -- URI resolution ----------------------------------------------------
 
 
 def resolve_store_uri(
@@ -329,14 +302,12 @@ def resolve_store_uri(
 ) -> str | None:
     """The result store a campaign or command runs against, as a URI.
 
-    Order: the explicit ``store``, then :func:`default_store_uri`
-    (``--store`` / ``REPRO_STORE``), then ``<cache_dir>/results``;
+    Order: the explicit ``store`` (``--store``), then the
+    ``REPRO_STORE`` environment variable, then ``<cache_dir>/results``;
     None when none is given, in which case a campaign stores nothing.
     """
-    if store:
-        return store
-    uri = default_store_uri()
-    if uri is not None:
+    uri = store or os.environ.get(STORE_ENV)
+    if uri:
         return uri
     if cache_dir is None:
         return None

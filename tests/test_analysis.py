@@ -237,21 +237,6 @@ class TestResultCache:
             b.workload, b.config
         )
 
-    def test_set_result_cache_default_round_trip(self, tmp_path, monkeypatch):
-        from repro.analysis import set_result_cache_default
-
-        jobs = demo_jobs(threads=(2,))
-        run_sweep(jobs, processes=1, cache_dir=tmp_path)
-        previous = set_result_cache_default(False)
-        try:
-            assert previous is True
-            calls = []
-            count_engine_dispatch(monkeypatch, calls)
-            run_sweep(jobs, processes=1, cache_dir=tmp_path)
-            assert len(calls) == len(jobs)  # default now skips the cache
-        finally:
-            set_result_cache_default(previous)
-
 
 class TestTables:
     def test_format_table_alignment(self):

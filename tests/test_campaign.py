@@ -133,7 +133,7 @@ def demo_campaign():
 
 class TestCampaign:
     def test_sweep_campaign_produces_output(self, tmp_path):
-        out = demo_campaign().run(scale="smoke", cache_dir=tmp_path)
+        out = demo_campaign().run(scale="smoke", runner=SweepRunner(cache_dir=tmp_path))
         assert out.experiment_id == "demo"
         assert len(out.rows) == 2
         assert out.checks == {"two_records": True}
@@ -143,15 +143,10 @@ class TestCampaign:
 
     def test_warm_campaign_replays_everything(self, tmp_path):
         campaign = demo_campaign()
-        campaign.run(cache_dir=tmp_path)
-        warm = campaign.run(cache_dir=tmp_path)
+        campaign.run(runner=SweepRunner(cache_dir=tmp_path))
+        warm = campaign.run(runner=SweepRunner(cache_dir=tmp_path))
         assert warm.campaign.simulated == 0
         assert warm.campaign.cache_hits == 2
-
-    def test_callable_matches_classic_signature(self, tmp_path):
-        campaign = demo_campaign()
-        out = campaign(scale="smoke", processes=1, cache_dir=tmp_path, seed=0)
-        assert out.scale == "smoke"
 
     def test_local_campaign_skips_sweep(self):
         def compute(ctx):
@@ -176,8 +171,8 @@ class TestCampaign:
         assert list(tmp_path.glob("*.npz"))  # generated via the disk cache
 
     def test_merge_campaign_stats(self, tmp_path):
-        a = demo_campaign().run(cache_dir=tmp_path).campaign
-        b = demo_campaign().run(cache_dir=tmp_path).campaign
+        a = demo_campaign().run(runner=SweepRunner(cache_dir=tmp_path)).campaign
+        b = demo_campaign().run(runner=SweepRunner(cache_dir=tmp_path)).campaign
         merged = merge_campaign_stats([a, b, None])
         assert merged.total_jobs == 4
         assert merged.simulated == a.simulated  # b was fully cached
@@ -186,7 +181,7 @@ class TestCampaign:
 
 class TestSaveExperimentOutput:
     def test_writes_full_results_tree(self, tmp_path):
-        out = demo_campaign().run(cache_dir=tmp_path / "cache")
+        out = demo_campaign().run(runner=SweepRunner(cache_dir=tmp_path / "cache"))
         target = save_experiment_output(out, tmp_path / "results", seed=0)
         assert target == tmp_path / "results" / "demo"
         for name in ("rows.csv", "report.txt", "checks.json", "manifest.json"):
@@ -250,18 +245,12 @@ class TestCliFlags:
     def test_run_no_strict_downgrades_exit_code(self, monkeypatch, capsys):
         from repro._cli import main
         from repro.experiments import registry
-        from repro.experiments.base import ExperimentOutput
 
-        def fake(scale="smoke", processes=None, cache_dir=None, seed=0):
-            return ExperimentOutput(
-                experiment_id="thm4",
-                title="fake",
-                scale=scale,
-                rows=[],
-                text="",
-                checks={"doomed": False},
-            )
-
+        fake = Campaign.local(
+            "thm4",
+            "fake",
+            lambda ctx: Reduction(rows=[], checks={"doomed": False}, text=""),
+        )
         monkeypatch.setitem(registry.EXPERIMENTS, "thm4", (fake, "fake"))
         assert main(["run", "thm4"]) == 1
         capsys.readouterr()

@@ -109,8 +109,6 @@ class TestRunCommands:
             main(self.SIMULATE_ARGV + ["--engine", "reference"])
 
     def test_run_engine_flags_restore_defaults(self, capsys):
-        from repro.analysis.sweep import _RESULT_CACHE_DEFAULT
-
         # campaigns have no engine flag: every job runs on the reference
         # engine
         with pytest.raises(SystemExit):
@@ -119,28 +117,47 @@ class TestRunCommands:
         code = main(["run", "thm4", "--no-result-cache"])
         assert code == 0
         assert "[PASS]" in capsys.readouterr().out
-        # module-level defaults must be restored after the command
-        from repro.analysis import sweep as sweep_mod
-
-        assert sweep_mod._RESULT_CACHE_DEFAULT is _RESULT_CACHE_DEFAULT is True
 
     def test_run_exit_code_on_failed_checks(self, monkeypatch, capsys):
         from repro.experiments import registry
-        from repro.experiments.base import ExperimentOutput
+        from repro.experiments.base import Campaign, Reduction
 
-        def fake(scale="smoke", processes=None, cache_dir=None, seed=0):
-            return ExperimentOutput(
-                experiment_id="thm4",
-                title="fake",
-                scale=scale,
-                rows=[],
-                text="",
-                checks={"doomed": False},
-            )
-
+        fake = Campaign.local(
+            "thm4",
+            "fake",
+            lambda ctx: Reduction(rows=[], checks={"doomed": False}, text=""),
+        )
         monkeypatch.setitem(registry.EXPERIMENTS, "thm4", (fake, "fake"))
         assert main(["run", "thm4"]) == 1
         assert "FAILED shape checks" in capsys.readouterr().err
+
+
+class TestEachCampaignOnce:
+    """One ``repro run`` simulates each campaign at most once: a
+    composite and its panels, or Table 1 and Figure 5, share one sweep
+    (with no store to replay from, a second run would simulate again)."""
+
+    @pytest.mark.parametrize(
+        "ids, jobs",
+        [(["fig2", "fig2a", "fig2b"], 12), (["fig5", "tab1"], 20)],
+        ids=["fig2-panels", "fig5-tab1"],
+    )
+    def test_composite_reuses_its_panels(self, ids, jobs, monkeypatch, capsys):
+        from repro.core.engine import Simulator
+
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        runs = []
+        real = Simulator.run
+
+        def counting(self, *args, **kwargs):
+            runs.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", counting)
+        assert main(["run", *ids, "--processes", "1"]) == 0
+        out = capsys.readouterr().out
+        assert all(f"== {i}:" in out for i in ids)
+        assert len(runs) == jobs
 
 
 class TestObservabilityCommands:
@@ -250,24 +267,6 @@ class TestTelemetryFlags:
         seqs = [e["seq"] for e in lines]
         assert seqs == sorted(seqs)
 
-    def test_run_restores_telemetry_defaults(self, tmp_path, capsys):
-        from repro.analysis.telemetry import default_telemetry
-
-        main(
-            [
-                "run",
-                "thm4",
-                "--scale",
-                "smoke",
-                "--cache-dir",
-                str(tmp_path / "cache"),
-                "--metrics-out",
-                str(tmp_path / "m.prom"),
-            ]
-        )
-        capsys.readouterr()
-        assert default_telemetry() is None  # CLI flags did not leak
-
     def test_progress_every_validated(self, tmp_path, capsys):
         code = main(
             [
@@ -287,7 +286,7 @@ class TestTelemetryFlags:
 
 class TestRunValidation:
     """Invalid ``repro run`` values exit 2 with one line naming the flag,
-    before any process-wide default is touched."""
+    before the invocation's runner is built or any experiment runs."""
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -298,24 +297,20 @@ class TestRunValidation:
             ("--shard", "3/2"),
         ],
     )
-    def test_bad_value_exits_2_and_leaves_defaults(self, flag, value, capsys):
-        from repro.analysis import sweep as sweep_mod
-        from repro.analysis.telemetry import default_telemetry
-        from repro.store.base import default_store_uri
-
-        before = (
-            sweep_mod._RESULT_CACHE_DEFAULT,
-            sweep_mod.set_execution_defaults(),
-            default_store_uri(),
-        )
+    def test_bad_value_exits_2_and_leaves_defaults(
+        self, flag, value, tmp_path, capsys
+    ):
+        metrics = tmp_path / "never-written.prom"
         code = main(
             [
                 "run",
-                "thm4",
+                "thm2",
+                "--processes",
+                "1",
                 "--no-result-cache",
                 "--strict",
                 "--metrics-out",
-                "never-written.prom",
+                str(metrics),
                 flag,
                 value,
             ]
@@ -323,12 +318,7 @@ class TestRunValidation:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"bad {flag}: ")
-        assert (
-            sweep_mod._RESULT_CACHE_DEFAULT,
-            sweep_mod.set_execution_defaults(),
-            default_store_uri(),
-        ) == before
-        assert default_telemetry() is None
+        assert not metrics.exists()  # no campaign ran
 
 
 class TestRunFaultFlags:

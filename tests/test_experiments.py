@@ -9,13 +9,13 @@ import pytest
 
 from repro.experiments import (
     EXPERIMENTS,
+    Campaign,
+    Composite,
     ExperimentOutput,
     experiment_ids,
     run_experiment,
 )
 from repro.experiments.base import require_scale
-from repro.experiments.table2 import figure6, table2a, table2b
-from repro.experiments.theory_checks import lemma1, theorem4
 
 
 class TestRegistry:
@@ -41,8 +41,8 @@ class TestRegistry:
             run_experiment("nope")
 
     def test_descriptions_present(self):
-        for _, (fn, description) in EXPERIMENTS.items():
-            assert callable(fn)
+        for _, (entry, description) in EXPERIMENTS.items():
+            assert isinstance(entry, (Campaign, Composite))
             assert len(description) > 10
 
     def test_require_scale(self):
@@ -80,27 +80,27 @@ class TestCheapExperiments:
         assert all(r["hbm_ns"] is None for r in big)
 
     def test_table2b_smoke(self):
-        out = table2b(scale="smoke")
+        out = run_experiment("tab2b", scale="smoke")
         assert out.all_checks_pass, out.failed_checks()
         first = out.rows[0]
         assert first["hbm_mib_s"] > 4 * first["dram_mib_s"]
 
     def test_figure6_smoke(self):
-        out = figure6(scale="smoke")
+        out = run_experiment("fig6", scale="smoke")
         assert out.all_checks_pass, out.failed_checks()
         assert "Figure 6a" in out.text
         assert "Figure 6b" in out.text
 
     def test_lemma1_smoke(self):
-        out = lemma1(scale="smoke")
+        out = run_experiment("lemma1", scale="smoke")
         assert out.all_checks_pass, out.failed_checks()
         assert {r["replacement"] for r in out.rows} == {"lru", "fifo"}
 
     def test_theorem4_smoke(self):
-        out = theorem4(scale="smoke")
+        out = run_experiment("thm4", scale="smoke")
         assert out.all_checks_pass, out.failed_checks()
 
     def test_experiments_deterministic_under_seed(self):
-        a = table2a(scale="smoke", seed=7)
-        b = table2a(scale="smoke", seed=7)
+        a = run_experiment("tab2a", scale="smoke", seed=7)
+        b = run_experiment("tab2a", scale="smoke", seed=7)
         assert a.rows == b.rows

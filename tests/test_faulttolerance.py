@@ -23,7 +23,6 @@ from repro.analysis import (
     WorkloadSpec,
     parse_fault_plan,
     run_sweep,
-    set_execution_defaults,
     set_fault_plan,
 )
 from repro.analysis.faults import FaultSpec, InjectedFault, maybe_inject
@@ -336,11 +335,9 @@ class TestCampaignStatsSurface:
             ),
         )
         set_fault_plan("raise:victim:attempts=0")
-        previous = set_execution_defaults(retries=1)
-        try:
-            out = campaign.run(scale="smoke", processes=1)
-        finally:
-            set_execution_defaults(**previous)
+        out = campaign.run(
+            scale="smoke", runner=SweepRunner(processes=1, retries=1)
+        )
         assert out.campaign.failed == 1
         target = save_experiment_output(out, tmp_path, seed=0)
         checks = json.loads((target / "checks.json").read_text())
@@ -353,37 +350,7 @@ class TestCampaignStatsSurface:
 
 
 class TestExecutionDefaults:
-    def test_round_trip(self):
-        previous = set_execution_defaults(
-            retries=3, job_timeout=12.5, failure_mode="strict"
-        )
-        try:
-            runner = SweepRunner(processes=1)
-            assert runner.retries == 3
-            assert runner.job_timeout == 12.5
-            assert runner.failure_mode == "strict"
-        finally:
-            restored = set_execution_defaults(**previous)
-        assert restored == {
-            "retries": 3,
-            "job_timeout": 12.5,
-            "failure_mode": "strict",
-            "shard": None,
-        }
-        runner = SweepRunner(processes=1)
-        assert runner.retries == previous["retries"]
-        assert runner.job_timeout is previous["job_timeout"]
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            set_execution_defaults(retries=-1)
-        with pytest.raises(ValueError):
-            set_execution_defaults(failure_mode="explode")
-        # a rejected call stores none of its values
-        before = set_execution_defaults()
-        with pytest.raises(ValueError):
-            set_execution_defaults(retries=4, failure_mode="explode")
-        assert set_execution_defaults() == before
         with pytest.raises(ValueError):
             SweepRunner(processes=1, failure_mode="explode")
         with pytest.raises(ValueError):

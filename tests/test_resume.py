@@ -283,10 +283,10 @@ class TestCliResume:
         assert len(store) > 0
         assert store.list_campaigns()
         store.close()
-        # the --store default was restored after the command
-        from repro.store.base import default_store_uri
+        # --store reached the command's runner only, not the process
+        from repro.store import resolve_store_uri
 
-        assert default_store_uri() != uri
+        assert resolve_store_uri() != uri
 
 
 class TestCliCache:
@@ -376,7 +376,9 @@ class TestManifestLineage:
                 rows=[r.row() for r in records], checks={"ran": True}, text="ok"
             ),
         )
-        out = campaign.run(scale="smoke", processes=1, cache_dir=tmp_path)
+        out = campaign.run(
+            scale="smoke", runner=SweepRunner(processes=1, cache_dir=tmp_path)
+        )
         target = save_experiment_output(out, tmp_path / "save", seed=0)
         manifest = json.loads((target / "manifest.json").read_text())
         section = manifest["campaign"]

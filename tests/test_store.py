@@ -26,10 +26,10 @@ from repro.store import (
     campaign_id_for,
     open_store,
     parse_store_uri,
-    set_store_default,
+    resolve_store_uri,
     sweep_result_key,
 )
-from repro.store.base import STORE_ENV, default_store_uri, lease_is_stale
+from repro.store.base import STORE_ENV, lease_is_stale
 
 #: engine-produced fields that are deterministic across runs
 METRIC_FIELDS = (
@@ -103,21 +103,11 @@ class TestUriResolution:
         assert isinstance(bare, DirectoryStore)
         s.close()
 
-    def test_set_store_default_round_trip(self, tmp_path, monkeypatch):
+    def test_repro_store_env_resolution(self, monkeypatch):
         monkeypatch.delenv(STORE_ENV, raising=False)
-        assert default_store_uri() is None
-        previous = set_store_default(f"sqlite:{tmp_path / 'x.db'}")
-        try:
-            assert default_store_uri() == f"sqlite:{tmp_path / 'x.db'}"
-        finally:
-            set_store_default(previous)
-        assert default_store_uri() is None
+        assert resolve_store_uri() is None
         monkeypatch.setenv(STORE_ENV, "dir:/from/env")
-        assert default_store_uri() == "dir:/from/env"
-
-    def test_set_store_default_validates(self):
-        with pytest.raises(ValueError):
-            set_store_default("redis:nope")
+        assert resolve_store_uri() == "dir:/from/env"
 
     def test_describe_is_canonical(self, tmp_path):
         assert DirectoryStore(tmp_path / "r").describe() == f"dir:{tmp_path / 'r'}"

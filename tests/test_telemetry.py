@@ -12,12 +12,7 @@ import pytest
 
 from repro.analysis import SweepJob, SweepRunner, WorkloadSpec
 from repro.analysis import benchtrend
-from repro.analysis.telemetry import (
-    CampaignTelemetry,
-    HeartbeatWriter,
-    default_telemetry,
-    set_telemetry_defaults,
-)
+from repro.analysis.telemetry import CampaignTelemetry, HeartbeatWriter
 from repro.core import SimulationConfig
 from repro.obs import log as obs_log
 from repro.obs import merge_chrome_traces
@@ -357,26 +352,6 @@ class TestTelemetryIsInert:
         assert cold_rows == warm_rows
 
 
-class TestTelemetryDefaults:
-    def test_defaults_roundtrip_and_global_sink(self, tmp_path):
-        assert default_telemetry() is None
-        prev = set_telemetry_defaults(
-            metrics_out=tmp_path / "m.prom", progress_every=3
-        )
-        try:
-            tele = default_telemetry()
-            assert tele is not None
-            assert tele.progress_every == 3
-            assert default_telemetry() is tele  # cached global sink
-        finally:
-            set_telemetry_defaults(**prev)
-        assert default_telemetry() is None
-
-    def test_progress_every_validated(self):
-        with pytest.raises(ValueError):
-            set_telemetry_defaults(progress_every=0)
-
-
 def _mini_trace(tmp_path, name, source, value):
     doc = {
         "traceEvents": [
@@ -540,18 +515,19 @@ class TestDocumentedMetrics:
         import re
         from pathlib import Path
 
-        from repro.experiments import run_experiment
+        from repro.experiments import run_experiments
 
         metrics_path = tmp_path / "m.prom"
-        prev = set_telemetry_defaults(metrics_out=metrics_path)
+        tele = CampaignTelemetry(metrics_out=metrics_path)
+        runner = SweepRunner(
+            processes=1, cache_dir=tmp_path / "cache", telemetry=tele
+        )
         try:
             # fig3's adversarial cycles fast-forward, so every family
             # (the FF prover counters included) and every phase shows up
-            run_experiment(
-                "fig3", scale="smoke", processes=1, cache_dir=tmp_path / "cache"
-            )
+            list(run_experiments(["fig3"], "smoke", 0, runner))
         finally:
-            set_telemetry_defaults(**prev)
+            tele.close()
         text = metrics_path.read_text(encoding="utf-8")
         exported = dict(re.findall(r"^# TYPE (\S+) (\S+)$", text, re.M))
         phases = set(re.findall(r'phase="([a-z_]+)"', text))
