@@ -2,10 +2,10 @@
 """Shared-store smoke test for sharded campaigns (CI and local).
 
 Launches two concurrent ``repro run --shard`` subprocesses pointed at
-one SQLite result store, then asserts the sharded-execution contract
-end to end:
+one directory result store, then asserts the sharded-execution
+contract end to end:
 
-* both shards exit 0 while racing on the same database;
+* both shards exit 0 while racing on the same store directory;
 * their combined coverage is the full campaign — every job key is in
   the store and in the done frontier, none left behind;
 * no job was simulated twice: the store holds exactly one entry per
@@ -29,7 +29,7 @@ from pathlib import Path
 from repro.analysis import SweepJob, SweepRunner, WorkloadSpec, run_sweep
 from repro.core import SimulationConfig
 from repro.obs import configure_logging
-from repro.store import SQLiteStore, sweep_result_key
+from repro.store import DirectoryStore, sweep_result_key
 
 METRIC_FIELDS = (
     "makespan",
@@ -95,7 +95,7 @@ def main():
     baseline = run_sweep(jobs, processes=1)
 
     with tempfile.TemporaryDirectory() as tmp:
-        uri = f"sqlite:{Path(tmp) / 'shared.db'}"
+        uri = f"dir:{Path(tmp) / 'shared'}"
         print(f"== two concurrent shards -> {uri} ==")
         env = dict(os.environ)
         env.pop("REPRO_STORE", None)
@@ -127,20 +127,17 @@ def main():
                 f"{simulated}, campaign has {len(jobs)} jobs"
             )
 
-        store = SQLiteStore(uri.split(":", 1)[1])
-        try:
-            if len(store) != len(jobs):
-                return fail(f"store holds {len(store)} entries, want {len(jobs)}")
-            campaigns = store.list_campaigns()
-            if len(campaigns) != 1:
-                return fail(f"expected one campaign, found {campaigns}")
-            done = store.done_keys(campaigns[0])
-            if done != keys:
-                return fail(
-                    f"frontier incomplete: {len(done)}/{len(keys)} keys done"
-                )
-        finally:
-            store.close()
+        store = DirectoryStore(uri.split(":", 1)[1])
+        if len(store) != len(jobs):
+            return fail(f"store holds {len(store)} entries, want {len(jobs)}")
+        campaigns = store.list_campaigns()
+        if len(campaigns) != 1:
+            return fail(f"expected one campaign, found {campaigns}")
+        done = store.done_keys(campaigns[0])
+        if done != keys:
+            return fail(
+                f"frontier incomplete: {len(done)}/{len(keys)} keys done"
+            )
 
         print("== final unsharded pass: must replay entirely from cache ==")
         final = SweepRunner(processes=1, store=uri)
@@ -165,7 +162,7 @@ def main():
                     )
 
     print(
-        f"OK: 2 shards drained {len(jobs)} jobs into one SQLite store with "
+        f"OK: 2 shards drained {len(jobs)} jobs into one directory store with "
         "no duplicates, full frontier coverage, and a bit-identical replay"
     )
     return 0

@@ -29,7 +29,7 @@ Subcommands
 ``cache``
     Inspect or clear the result store and workload cache:
     ``cache stats`` / ``cache clear``, scoped with ``--results-only``
-    or ``--workloads-only``, against any ``--store`` backend.
+    or ``--workloads-only``, against the ``--store`` directory.
 
 Global ``-v/--verbose`` and ``-q/--quiet`` flags control the
 ``repro.*`` logger verbosity (default INFO; see :mod:`repro.obs.log`).
@@ -63,7 +63,7 @@ from .obs import (
     write_chrome_trace,
     write_timeline_jsonl,
 )
-from .store import open_store, parse_store_uri, resolve_store_uri
+from .store import STORE_ENV, open_store, parse_store_uri, resolve_store_uri
 from .traces import WorkloadCache, make_workload, workload_kinds
 
 __all__ = ["main", "build_parser"]
@@ -158,9 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--store", default=None, metavar="URI",
-        help="result-store backend: dir:PATH (default layout) or "
-        "sqlite:PATH (safe for concurrent writers); overrides "
-        "REPRO_STORE and the <cache-dir>/results default",
+        help="result store directory as dir:PATH (or a bare path); "
+        "overrides REPRO_STORE and the <cache-dir>/results default",
     )
     run_p.add_argument(
         "--shard", default=None, metavar="I/N",
@@ -328,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_p.add_argument(
         "--store", default=None, metavar="URI",
-        help="result-store backend to target (dir:PATH or sqlite:PATH; "
-        "default: REPRO_STORE, else <cache-dir>/results)",
+        help="result store directory to target as dir:PATH (default: "
+        "REPRO_STORE, else <cache-dir>/results)",
     )
     scope = cache_p.add_mutually_exclusive_group()
     scope.add_argument(
@@ -376,6 +375,18 @@ def _cmd_workloads() -> int:
     return 0
 
 
+def _store_error(args: argparse.Namespace) -> str | None:
+    """The store URI a command resolves, as ``bad --store: ...`` or
+    ``bad REPRO_STORE: ...`` when it names no usable store, or None."""
+    uri = resolve_store_uri(args.store, args.cache_dir)
+    try:
+        if uri is not None:
+            parse_store_uri(uri)
+    except ValueError as exc:
+        return f"bad {'--store' if args.store else STORE_ENV}: {exc}"
+    return None
+
+
 def _run_args_error(args: argparse.Namespace) -> str | None:
     """The first invalid ``repro run`` value as ``bad --<flag>: ...``,
     or None. Checked before the runner is built, so a rejected command
@@ -384,16 +395,12 @@ def _run_args_error(args: argparse.Namespace) -> str | None:
         return f"bad --retries: must be >= 0, got {args.retries}"
     if args.progress_every is not None and args.progress_every < 1:
         return f"bad --progress-every: must be >= 1, got {args.progress_every}"
-    for flag, check, value in (
-        ("--shard", parse_shard, args.shard),
-        ("--store", parse_store_uri, args.store),
-    ):
-        if value:
-            try:
-                check(value)
-            except ValueError as exc:
-                return f"bad {flag}: {exc}"
-    return None
+    if args.shard:
+        try:
+            parse_shard(args.shard)
+        except ValueError as exc:
+            return f"bad --shard: {exc}"
+    return _store_error(args)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -417,6 +424,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"unknown experiment ids: {unknown}", file=sys.stderr)
         print(f"known: {experiment_ids()}", file=sys.stderr)
         return 2
+    scale, seed, store, manifest = args.scale, args.seed, args.store, None
+    if args.resume is not None:
+        # A registered experiment resumes by running it again, with the
+        # checkpoint's scale and seed, on the store the checkpoint was
+        # found in: its deterministic campaign id skips every job in the
+        # frontier. Any other campaign is swept from its manifest.
+        found = _find_checkpoint(args)
+        if found is None:
+            return 2
+        store, manifest = found
+        meta = manifest.meta
+        if meta.get("experiment_id") in EXPERIMENTS:
+            ids = [meta["experiment_id"]]
+            scale = str(meta.get("scale", scale))
+            seed = int(meta.get("seed", seed))
+            manifest = None
     output_dir = Path(args.output_dir) if args.output_dir else None
     if output_dir:
         output_dir.mkdir(parents=True, exist_ok=True)
@@ -432,12 +455,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else None
     )
     try:
-        if args.resume is not None:
-            return _cmd_resume(args, telemetry)
         # one runner for the invocation: every campaign shares its
         # store, fault policy and telemetry sink
-        runner = _invocation_runner(args, telemetry)
-        produced = run_experiments(ids, args.scale, args.seed, runner)
+        runner = SweepRunner(
+            processes=args.processes,
+            cache_dir=args.cache_dir,
+            result_cache=not args.no_result_cache,
+            retries=args.retries,
+            job_timeout=args.job_timeout,
+            failure_mode=args.failure_mode,
+            telemetry=telemetry,
+            store=store,
+            shard=args.shard,
+        )
+        if manifest is not None:
+            return _sweep_manifest(runner, manifest)
+        produced = run_experiments(ids, scale, seed, runner)
         for experiment_id in ids:
             try:
                 out = next(produced)
@@ -448,7 +481,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 )
                 return 3
             if args.save is not None:
-                save_experiment_output(out, args.save, seed=args.seed)
+                save_experiment_output(out, args.save, seed=seed)
             outputs.append(out)
             print(out.render())
             print()
@@ -470,7 +503,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         write_report(
             outputs,
             args.report,
-            title=f"hbm-repro experiment report (scale={args.scale})",
+            title=f"hbm-repro experiment report (scale={scale})",
         )
     if failed:
         print(f"FAILED shape checks: {failed}", file=sys.stderr)
@@ -479,28 +512,54 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _invocation_runner(
-    args: argparse.Namespace, telemetry: CampaignTelemetry | None, store=None
-) -> SweepRunner:
-    """The one :class:`SweepRunner` a ``repro run`` invocation runs on,
-    built from its flags; ``store`` overrides ``--store``."""
-    return SweepRunner(
-        processes=args.processes,
-        cache_dir=args.cache_dir,
-        result_cache=not args.no_result_cache,
-        retries=args.retries,
-        job_timeout=args.job_timeout,
-        failure_mode=args.failure_mode,
-        telemetry=telemetry,
-        store=store if store is not None else args.store,
-        shard=args.shard,
-    )
+def _find_checkpoint(args: argparse.Namespace):
+    """The store and checkpoint ``run --resume`` names, or None after
+    printing why there is none."""
+    store = _open_command_store(args)
+    if store is None:
+        return None
+    checkpoint = store.load_checkpoint(args.resume)
+    if checkpoint is None:
+        print(
+            f"no campaign {args.resume!r} in {store.describe()}",
+            file=sys.stderr,
+        )
+        known = store.list_campaigns()
+        if known:
+            print(f"known campaigns: {known}", file=sys.stderr)
+        return None
+    return store, checkpoint
+
+
+def _sweep_manifest(runner: SweepRunner, checkpoint) -> int:
+    """Finish a checkpointed campaign with no registered experiment by
+    sweeping the jobs its manifest lists."""
+    jobs = [sweep_job_from_dict(dict(j)) for j in checkpoint.jobs]
+    try:
+        records = runner.run(
+            jobs, label=checkpoint.label, meta=dict(checkpoint.meta)
+        )
+    except SweepFailure as exc:
+        print(
+            f"campaign {checkpoint.campaign_id!r} aborted (--strict): {exc}",
+            file=sys.stderr,
+        )
+        return 3
+    stats = runner.last_campaign
+    if stats is not None:
+        print(stats.summary_table())
+    print(f"{len(records)} record(s); store {runner.store.describe()}")
+    return 0
 
 
 def _open_command_store(args: argparse.Namespace):
     """The result store ``repro cache`` / ``run --resume`` act on, by
     the rule every campaign uses (:func:`repro.store.resolve_store_uri`),
     or None after printing why there is none."""
+    error = _store_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return None
     uri = resolve_store_uri(args.store, args.cache_dir)
     if uri is None:
         print(
@@ -509,66 +568,6 @@ def _open_command_store(args: argparse.Namespace):
         )
         return None
     return open_store(uri)
-
-
-def _cmd_resume(
-    args: argparse.Namespace, telemetry: CampaignTelemetry | None
-) -> int:
-    """Finish a checkpointed campaign: ``repro run --resume <id>``.
-
-    The checkpoint stores the full job manifest plus the submitting
-    context (experiment id / scale / seed), so a resume needs nothing
-    but the campaign id and the store it lives in. When the campaign
-    came from a registered experiment we re-run the experiment — the
-    deterministic campaign id makes the runner skip everything already
-    in the frontier, and the report/check pipeline runs as usual.
-    Otherwise the jobs are rebuilt from the manifest and swept directly.
-    Either way the work runs on the store the checkpoint was found in.
-    """
-    store = _open_command_store(args)
-    if store is None:
-        return 2
-    try:
-        checkpoint = store.load_checkpoint(args.resume)
-        if checkpoint is None:
-            print(
-                f"no campaign {args.resume!r} in {store.describe()}",
-                file=sys.stderr,
-            )
-            known = store.list_campaigns()
-            if known:
-                print(f"known campaigns: {known}", file=sys.stderr)
-            return 2
-        meta = dict(checkpoint.meta or {})
-        experiment_id = meta.get("experiment_id")
-        runner = _invocation_runner(args, telemetry, store=store)
-        if experiment_id in EXPERIMENTS:
-            seed = int(meta.get("seed", args.seed))
-            (out,) = run_experiments(
-                [experiment_id],
-                str(meta.get("scale", args.scale)),
-                seed,
-                runner,
-            )
-            if args.save is not None:
-                save_experiment_output(out, args.save, seed=seed)
-            print(out.render())
-            failed = out.failed_checks()
-            if failed:
-                print(f"FAILED shape checks: {failed}", file=sys.stderr)
-                if not args.no_strict:
-                    return 1
-            return 0
-        # No (or unknown) experiment lineage: sweep the stored manifest.
-        jobs = [sweep_job_from_dict(dict(j)) for j in checkpoint.jobs]
-        records = runner.run(jobs, label=checkpoint.label, meta=meta)
-        stats = runner.last_campaign
-        if stats is not None:
-            print(stats.summary_table())
-        print(f"{len(records)} record(s); store {store.describe()}")
-        return 0
-    finally:
-        store.close()
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -582,21 +581,18 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         store = _open_command_store(args)
         if store is None:
             return 2
-        try:
-            if args.cache_command == "clear":
-                removed = store.clear()
-                print(f"results   {store.describe()}: cleared {removed}")
-            else:
-                stats = store.stats()
-                corrupt = stats.get("corrupt", 0)
-                note = f", {corrupt} corrupt" if corrupt else ""
-                print(
-                    f"results   {store.describe()}: "
-                    f"{stats['entries']} entries, "
-                    f"{stats['bytes']} bytes{note}"
-                )
-        finally:
-            store.close()
+        if args.cache_command == "clear":
+            removed = store.clear()
+            print(f"results   {store.describe()}: cleared {removed}")
+        else:
+            stats = store.stats()
+            corrupt = stats.get("corrupt", 0)
+            note = f", {corrupt} corrupt" if corrupt else ""
+            print(
+                f"results   {store.describe()}: "
+                f"{stats['entries']} entries, "
+                f"{stats['bytes']} bytes{note}"
+            )
     if do_workloads:
         workloads = WorkloadCache(args.cache_dir)
         if args.cache_command == "clear":

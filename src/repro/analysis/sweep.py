@@ -75,7 +75,7 @@ from ..obs.metrics import (
 )
 from ..store import (
     CampaignCheckpoint,
-    ResultStore,
+    DirectoryStore,
     campaign_id_for,
     open_store,
     resolve_store_uri,
@@ -1098,7 +1098,7 @@ class SweepRunner:
         job_timeout: float | None = None,
         failure_mode: str | None = None,
         telemetry: CampaignTelemetry | None = None,
-        store: "ResultStore | str | None" = None,
+        store: "DirectoryStore | str | None" = None,
         shard: str | tuple[int, int] | None = None,
     ) -> None:
         self.processes = processes if processes is not None else (os.cpu_count() or 1)
@@ -1133,7 +1133,7 @@ class SweepRunner:
         for spec in specs:
             spec.build(cache)
 
-    def _open_store(self) -> ResultStore | None:
+    def _open_store(self) -> DirectoryStore | None:
         """Resolve the result store this campaign runs against.
 
         Order: the runner's explicit ``store`` argument (CLI

@@ -1,18 +1,16 @@
-"""Pluggable result stores for sweep campaigns.
+"""The result store sweep campaigns run against.
 
-A backend protocol (:class:`ResultStore`), the default local-directory
-backend (:class:`DirectoryStore`: one ``<key>.json`` file per entry,
-the layout every earlier result cache used), and a SQLite/WAL backend
-(:class:`SQLiteStore`) for N concurrent campaign processes sharing one
-store. :func:`sweep_result_key` is the content hash every backend keys
-entries by.
+:class:`DirectoryStore` keeps one ``<key>.json`` file per entry (the
+layout every earlier result cache used) plus each campaign's
+checkpoint, done-key frontier and job leases, which is what lets
+N sharded campaign processes drain one store concurrently.
+:func:`sweep_result_key` is the content hash entries are keyed by.
 """
 
 from .base import (
     CHECKPOINT_SCHEMA,
     STORE_ENV,
     CampaignCheckpoint,
-    ResultStore,
     campaign_id_for,
     lease_is_stale,
     lease_owner,
@@ -22,15 +20,12 @@ from .base import (
     sweep_result_key,
 )
 from .dirstore import DirectoryStore
-from .sqlitestore import SQLiteStore
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "STORE_ENV",
     "CampaignCheckpoint",
     "DirectoryStore",
-    "ResultStore",
-    "SQLiteStore",
     "campaign_id_for",
     "lease_is_stale",
     "lease_owner",

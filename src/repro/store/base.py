@@ -1,4 +1,4 @@
-"""Result-store protocol: the storage contract campaigns run against.
+"""Result-store contract: keys, checkpoints, leases and store URIs.
 
 A *result store* is the durable half of a campaign. It holds
 
@@ -13,15 +13,12 @@ A *result store* is the durable half of a campaign. It holds
   processes drain one frontier into one store without duplicating
   work.
 
-Two backends implement the contract: the local-directory JSON store
-(:class:`~repro.store.dirstore.DirectoryStore`, the default —
-format-compatible with the historical ``ResultCache`` so existing
-caches stay warm) and a SQLite/WAL database
-(:class:`~repro.store.sqlitestore.SQLiteStore`) safe for concurrent
-writers on one filesystem. Stores are selected by URI —
-``dir:/path/to/results`` or ``sqlite:/path/to/store.db`` — via
-:func:`open_store`; a bare path means the directory backend, so every
-pre-URI call site keeps its meaning.
+The one implementation is the local-directory JSON store
+(:class:`~repro.store.dirstore.DirectoryStore`, format-compatible with
+the historical ``ResultCache`` so existing caches stay warm). Stores
+are named by URI — ``dir:/path/to/results`` — and opened via
+:func:`open_store`; a bare path means the same, so every pre-URI call
+site keeps its meaning.
 
 Keys are SHA-256 digests of a canonical JSON encoding of the workload
 spec, the full config dict, and
@@ -39,18 +36,19 @@ import json
 import os
 import socket
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..core.engine import ENGINE_SEMANTICS_VERSION
+
+if TYPE_CHECKING:
+    from .dirstore import DirectoryStore
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "STORE_ENV",
     "CampaignCheckpoint",
-    "ResultStore",
     "lease_is_stale",
     "lease_owner",
     "open_store",
@@ -179,121 +177,6 @@ def lease_is_stale(lease: Mapping[str, Any], now: float | None = None) -> bool:
     return False
 
 
-class ResultStore(ABC):
-    """Backend contract for campaign results, checkpoints, and leases.
-
-    Implementations must make :meth:`put` atomic (a killed writer never
-    leaves a half-written entry visible) and :meth:`mark_done` durable
-    before returning, since the parent calls both as each record lands
-    and may be SIGKILLed at any point between jobs.
-    """
-
-    # -- result entries -------------------------------------------------
-
-    @abstractmethod
-    def get(self, key: str) -> dict[str, Any] | None:
-        """The stored payload, or None on miss/corruption (never raises).
-
-        A corrupt entry (present but undecodable) is *quarantined* on
-        first detection — renamed/moved aside so warm passes stop
-        re-reading it — and counted by :meth:`stats`.
-        """
-
-    def get_many(self, keys: Sequence[str]) -> dict[str, dict[str, Any]]:
-        """Batched :meth:`get` for the campaign cache-probe phase.
-
-        Returns only the keys that hit. The default loops :meth:`get`;
-        backends with cheaper bulk reads override it.
-        """
-        found: dict[str, dict[str, Any]] = {}
-        for key in keys:
-            payload = self.get(key)
-            if payload is not None:
-                found[key] = payload
-        return found
-
-    def put(self, key: str, payload: Mapping[str, Any]) -> None:
-        """Store ``payload`` under ``key`` atomically.
-
-        Refuses payloads flagged as failed: a store entry asserts "this
-        (spec, config) simulated successfully", and replaying a
-        transient worker failure forever would poison every later
-        campaign. The sweep harness never offers failed records; this
-        guard catches any future caller that tries.
-        """
-        if payload.get("error"):
-            raise ValueError(
-                f"refusing to store failed sweep result under key {key!r}"
-            )
-        self._write(key, payload)
-
-    @abstractmethod
-    def _write(self, key: str, payload: Mapping[str, Any]) -> None:
-        """Backend write; atomicity is the implementation's burden."""
-
-    @abstractmethod
-    def clear(self) -> int:
-        """Delete every stored result (and quarantined/stale debris);
-        returns the number of entries removed. Campaign checkpoints are
-        cleared too — a store without its results cannot honestly claim
-        any frontier progress."""
-
-    @abstractmethod
-    def stats(self) -> dict[str, Any]:
-        """Entry count, on-disk footprint, quarantined-entry count, and
-        backend identity, for campaign telemetry and ``repro cache``."""
-
-    @abstractmethod
-    def __len__(self) -> int: ...
-
-    @abstractmethod
-    def describe(self) -> str:
-        """Canonical URI for manifests/provenance (``dir:...`` etc.)."""
-
-    # -- campaign checkpoints -------------------------------------------
-
-    @abstractmethod
-    def save_checkpoint(self, checkpoint: CampaignCheckpoint) -> None:
-        """Persist a campaign's job manifest (write-once; saving an
-        existing id with an identical job-key set is a no-op)."""
-
-    @abstractmethod
-    def load_checkpoint(self, campaign_id: str) -> CampaignCheckpoint | None: ...
-
-    @abstractmethod
-    def list_campaigns(self) -> list[str]: ...
-
-    @abstractmethod
-    def mark_done(self, campaign_id: str, key: str) -> None:
-        """Record one finished job key in the campaign frontier."""
-
-    @abstractmethod
-    def done_keys(self, campaign_id: str) -> set[str]:
-        """Every job key the campaign has durably completed."""
-
-    # -- job leases -----------------------------------------------------
-
-    @abstractmethod
-    def claim(
-        self, campaign_id: str, key: str, ttl_s: float | None = None
-    ) -> bool:
-        """Try to take ownership of one pending job for this process.
-
-        Returns False when another live process holds the lease (or the
-        job is already done). Stale leases — expired, or held by a dead
-        process on this host — are taken over. Claims are advisory for
-        correctness of *results* (records are pure functions of their
-        job) and load-bearing only for avoiding duplicate work.
-        """
-
-    @abstractmethod
-    def release(self, campaign_id: str, key: str) -> None:
-        """Drop this process's lease on a job (after completion)."""
-
-    def close(self) -> None:
-        """Release backend resources (connections); idempotent."""
-
-
 # -- URI resolution ----------------------------------------------------
 
 
@@ -317,17 +200,17 @@ def resolve_store_uri(
 def parse_store_uri(uri: str) -> tuple[str, str]:
     """Split a store URI into ``(scheme, path)``.
 
-    ``dir:PATH`` and ``sqlite:PATH`` are the known schemes; a bare path
-    (no scheme, or a Windows drive letter) means the directory backend,
-    so pre-URI call sites keep their meaning.
+    ``dir:PATH`` is the one known scheme; a bare path (no scheme, or a
+    Windows drive letter) means the same, so pre-URI call sites keep
+    their meaning.
     """
     scheme, sep, rest = uri.partition(":")
     if sep and len(scheme) > 1:  # len == 1 would be a drive letter
         scheme = scheme.lower()
-        if scheme not in ("dir", "sqlite"):
+        if scheme != "dir":
             raise ValueError(
                 f"unknown result-store scheme {scheme!r} in {uri!r}; "
-                "expected dir:PATH or sqlite:PATH"
+                "expected dir:PATH"
             )
         if not rest:
             raise ValueError(f"store URI {uri!r} names no path")
@@ -335,18 +218,14 @@ def parse_store_uri(uri: str) -> tuple[str, str]:
     return "dir", uri
 
 
-def open_store(target: "ResultStore | str | os.PathLike") -> ResultStore:
+def open_store(target: "DirectoryStore | str | os.PathLike") -> "DirectoryStore":
     """Resolve a store argument — an instance, a URI, or a bare path —
-    into a live :class:`ResultStore`."""
-    if isinstance(target, ResultStore):
-        return target
-    scheme, path = parse_store_uri(str(target))
-    if scheme == "sqlite":
-        from .sqlitestore import SQLiteStore
-
-        return SQLiteStore(path)
+    into a live :class:`~repro.store.dirstore.DirectoryStore`."""
     from .dirstore import DirectoryStore
 
+    if isinstance(target, DirectoryStore):
+        return target
+    _, path = parse_store_uri(str(target))
     return DirectoryStore(path)
 
 

@@ -30,12 +30,11 @@ import os
 import shutil
 import time
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .base import (
     LEASE_TTL_S,
     CampaignCheckpoint,
-    ResultStore,
     lease_is_stale,
     lease_owner,
 )
@@ -43,13 +42,20 @@ from .base import (
 __all__ = ["DirectoryStore"]
 
 
-class DirectoryStore(ResultStore):
-    """Key -> JSON-payload store backed by one directory of files."""
+class DirectoryStore:
+    """Key -> JSON-payload store backed by one directory of files.
+
+    The parent calls :meth:`put` and :meth:`mark_done` as each record
+    lands and may be SIGKILLed at any point between jobs, so a killed
+    writer never leaves a half-written entry visible and a marked key
+    is on disk before :meth:`mark_done` returns.
+    """
 
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
 
     def describe(self) -> str:
+        """Canonical URI for manifests and provenance."""
         return f"dir:{self.directory}"
 
     def path_for(self, key: str) -> Path:
@@ -61,7 +67,12 @@ class DirectoryStore(ResultStore):
     # -- result entries -------------------------------------------------
 
     def get(self, key: str) -> dict[str, Any] | None:
-        """The stored payload, or None on miss/corruption (never raises)."""
+        """The stored payload, or None on miss/corruption (never raises).
+
+        A corrupt entry (present but undecodable) is *quarantined* on
+        first detection — renamed aside so warm passes stop re-reading
+        it — and counted by :meth:`stats`.
+        """
         path = self.path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -75,6 +86,33 @@ class DirectoryStore(ResultStore):
             self._quarantine(path)
             return None
         return payload
+
+    def get_many(self, keys: Sequence[str]) -> dict[str, dict[str, Any]]:
+        """Batched :meth:`get` for the campaign cache-probe phase.
+
+        Returns only the keys that hit.
+        """
+        found: dict[str, dict[str, Any]] = {}
+        for key in keys:
+            payload = self.get(key)
+            if payload is not None:
+                found[key] = payload
+        return found
+
+    def put(self, key: str, payload: Mapping[str, Any]) -> None:
+        """Store ``payload`` under ``key`` atomically (``os.replace``).
+
+        Refuses payloads flagged as failed: a store entry asserts "this
+        (spec, config) simulated successfully", and replaying a
+        transient worker failure forever would poison every later
+        campaign. The sweep harness never offers failed records; this
+        guard catches any future caller that tries.
+        """
+        if payload.get("error"):
+            raise ValueError(
+                f"refusing to store failed sweep result under key {key!r}"
+            )
+        self._write(key, payload)
 
     def _quarantine(self, path: Path) -> None:
         """Move an undecodable entry aside (kept for post-mortems)."""
@@ -133,6 +171,8 @@ class DirectoryStore(ResultStore):
     # -- campaign checkpoints -------------------------------------------
 
     def save_checkpoint(self, checkpoint: CampaignCheckpoint) -> None:
+        """Persist a campaign's job manifest (write-once; saving an
+        existing id again is a no-op)."""
         target = self._campaign_dir(checkpoint.campaign_id)
         path = target / "manifest.json"
         if path.exists():
@@ -161,6 +201,8 @@ class DirectoryStore(ResultStore):
         )
 
     def mark_done(self, campaign_id: str, key: str) -> None:
+        """Record one finished job key in the campaign frontier,
+        durably (``fsync``) before returning."""
         target = self._campaign_dir(campaign_id)
         target.mkdir(parents=True, exist_ok=True)
         # O_APPEND: single-line writes from concurrent shards land whole
@@ -170,6 +212,7 @@ class DirectoryStore(ResultStore):
             os.fsync(fh.fileno())
 
     def done_keys(self, campaign_id: str) -> set[str]:
+        """Every job key the campaign has durably completed."""
         path = self._campaign_dir(campaign_id) / "done.log"
         try:
             lines = path.read_text(encoding="utf-8").splitlines()
@@ -187,6 +230,14 @@ class DirectoryStore(ResultStore):
     def claim(
         self, campaign_id: str, key: str, ttl_s: float | None = None
     ) -> bool:
+        """Try to take ownership of one pending job for this process.
+
+        Returns False when another live process holds the lease (or the
+        job is already done). Stale leases — expired, or held by a dead
+        process on this host — are taken over. Claims are advisory for
+        correctness of *results* (records are pure functions of their
+        job) and load-bearing only for avoiding duplicate work.
+        """
         if key in self.done_keys(campaign_id):
             return False
         path = self._lease_path(campaign_id, key)
@@ -221,6 +272,7 @@ class DirectoryStore(ResultStore):
         return True
 
     def release(self, campaign_id: str, key: str) -> None:
+        """Drop this process's lease on a job (after completion)."""
         try:
             self._lease_path(campaign_id, key).unlink(missing_ok=True)
         except OSError:

@@ -238,12 +238,12 @@ class TestCliResume:
         assert "bad --shard" in capsys.readouterr().err
 
     def test_resume_unknown_campaign_exits_2(self, tmp_path, capsys):
-        uri = f"sqlite:{tmp_path / 's.db'}"
+        uri = f"dir:{tmp_path / 'store'}"
         assert main(["run", "--resume", "ghost", "--store", uri]) == 2
         assert "no campaign 'ghost'" in capsys.readouterr().err
 
     def test_resume_adhoc_campaign_from_manifest(self, tmp_path, capsys):
-        uri = f"sqlite:{tmp_path / 's.db'}"
+        uri = f"dir:{tmp_path / 'store'}"
         jobs = demo_jobs(2)
         runner = SweepRunner(processes=1, store=uri)
         runner.run(jobs, label="adhoc")
@@ -255,13 +255,38 @@ class TestCliResume:
         assert code == 0
         out = capsys.readouterr().out
         assert "2 record(s)" in out
-        assert f"sqlite:{tmp_path / 's.db'}" in out
+        assert f"dir:{tmp_path / 'store'}" in out
+
+    def test_resume_registered_strict_abort_exits_3(self, tmp_path, capsys):
+        # an aborted registered campaign resumes through `run`'s own
+        # output loop, so a second strict abort is one line and exit 3
+        set_fault_plan("raise:*:attempts=0")
+        common = ["--scale", "smoke", "--processes", "1", "--retries", "0",
+                  "--strict", "--cache-dir", str(tmp_path)]
+        assert main(["run", "thm2", *common]) == 3
+        capsys.readouterr()
+        (campaign_id,) = open_store(tmp_path / "results").list_campaigns()
+        assert main(["run", "--resume", campaign_id, *common]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("campaign 'thm2' aborted (--strict)")
+
+    def test_resume_manifest_strict_abort_exits_3(self, tmp_path, capsys):
+        uri = f"dir:{tmp_path / 'store'}"
+        set_fault_plan("raise:*:attempts=0")
+        runner = SweepRunner(processes=1, store=uri, retries=0)
+        runner.run(demo_jobs(2), label="adhoc")
+        campaign_id = runner.last_campaign.campaign_id
+        code = main(["run", "--resume", campaign_id, "--store", uri,
+                     "--processes", "1", "--retries", "0", "--strict"])
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith(f"campaign {campaign_id!r} aborted (--strict)")
 
     def test_cli_shard_drains_without_reduce(self, tmp_path, capsys):
         # A shard run of a registered experiment holds only its
         # partition's records, so reducers must not run: both shards
         # drain cleanly, then the unsharded pass reduces from cache.
-        uri = f"sqlite:{tmp_path / 'drain.db'}"
+        uri = f"dir:{tmp_path / 'drain'}"
         common = ["run", "thm2", "--scale", "smoke", "--processes", "1",
                   "--store", uri, "--cache-dir", str(tmp_path / "cache")]
         for shard in ("0/2", "1/2"):
@@ -273,7 +298,7 @@ class TestCliResume:
         assert "shape checks" in capsys.readouterr().out
 
     def test_cli_store_flag_routes_results(self, tmp_path):
-        uri = f"sqlite:{tmp_path / 'cli.db'}"
+        uri = f"dir:{tmp_path / 'cli'}"
         code = main(
             ["run", "thm2", "--scale", "smoke", "--store", uri,
              "--cache-dir", str(tmp_path / "cache")]
@@ -282,7 +307,8 @@ class TestCliResume:
         store = open_store(uri)
         assert len(store) > 0
         assert store.list_campaigns()
-        store.close()
+        # nothing went to the --cache-dir default store
+        assert len(open_store(tmp_path / "cache" / "results")) == 0
         # --store reached the command's runner only, not the process
         from repro.store import resolve_store_uri
 
@@ -291,21 +317,20 @@ class TestCliResume:
 
 class TestCliCache:
     def test_stats_and_clear(self, tmp_path, capsys):
-        uri = f"sqlite:{tmp_path / 'c.db'}"
+        uri = f"dir:{tmp_path / 'c'}"
         store = open_store(uri)
         store.put("a" * 32, {"makespan": 1})
-        store.close()
+        cache = str(tmp_path / "cache")
         assert main(["cache", "stats", "--store", uri,
-                     "--cache-dir", str(tmp_path)]) == 0
+                     "--cache-dir", cache]) == 0
         out = capsys.readouterr().out
-        assert "1 entries" in out
+        assert f"{uri}: 1 entries" in out
         assert "workloads" in out
         assert main(["cache", "clear", "--store", uri,
-                     "--cache-dir", str(tmp_path), "--results-only"]) == 0
+                     "--cache-dir", cache, "--results-only"]) == 0
         assert "cleared 1" in capsys.readouterr().out
         reopened = open_store(uri)
         assert len(reopened) == 0
-        reopened.close()
 
     def test_scope_flags_are_exclusive(self):
         with pytest.raises(SystemExit):
@@ -329,7 +354,6 @@ class TestOneStoreRule:
         capsys.readouterr()
         store = open_store(f"dir:{cache / 'results'}")
         entries, campaigns = len(store), store.list_campaigns()
-        store.close()
         assert entries > 0 and campaigns
 
         assert main(["cache", "stats", "--cache-dir", str(cache)]) == 0
@@ -347,6 +371,25 @@ class TestOneStoreRule:
         for campaign_id in campaigns:
             assert main(["run", "--resume", campaign_id, *common]) == 0
         assert simulated == []
+
+    def test_bad_store_uri_exits_2(self, tmp_path, capsys, monkeypatch):
+        # REPRO_STORE is checked like --store: one line, exit 2, and no
+        # campaign runs
+        cache = ["--cache-dir", str(tmp_path)]
+        monkeypatch.setenv("REPRO_STORE", "sqlite:/x")
+        for argv, source in (
+            (["run", "thm2", *cache], "REPRO_STORE"),
+            (["cache", "stats", *cache], "REPRO_STORE"),
+            (["run", "--resume", "any", *cache], "REPRO_STORE"),
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith(f"bad {source}: ")
+        monkeypatch.delenv("REPRO_STORE")
+        assert main(["run", "thm2", "--store", "sqlite:/x", *cache]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("bad --store: ")
+        assert not (tmp_path / "results").exists()
 
     def test_no_store_exits_2(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_STORE", raising=False)

@@ -1,11 +1,9 @@
-"""Result-store backends: URI resolution, format compatibility with the
-historical ``ResultCache`` layout, corrupt-entry quarantine, campaign
-checkpoints, the done-key frontier, and job leases — exercised against
-both the directory and SQLite backends wherever the contract is shared.
+"""The directory result store: URI resolution, format compatibility
+with the historical ``ResultCache`` layout, corrupt-entry quarantine,
+campaign checkpoints, the done-key frontier, and job leases.
 """
 
 import json
-import sqlite3
 import time
 
 import pytest
@@ -22,7 +20,6 @@ from repro.core import SimulationConfig
 from repro.store import (
     CampaignCheckpoint,
     DirectoryStore,
-    SQLiteStore,
     campaign_id_for,
     open_store,
     parse_store_uri,
@@ -45,14 +42,9 @@ METRIC_FIELDS = (
 )
 
 
-@pytest.fixture(params=["dir", "sqlite"])
-def store(request, tmp_path):
-    if request.param == "dir":
-        s = DirectoryStore(tmp_path / "results")
-    else:
-        s = SQLiteStore(tmp_path / "store.db")
-    yield s
-    s.close()
+@pytest.fixture(params=["dir"])
+def store(tmp_path):
+    return DirectoryStore(tmp_path / "results")
 
 
 def demo_jobs():
@@ -86,22 +78,23 @@ def assert_same_metrics(records_a, records_b):
 class TestUriResolution:
     def test_parse_schemes(self, tmp_path):
         assert parse_store_uri("dir:/a/b") == ("dir", "/a/b")
-        assert parse_store_uri("sqlite:/a/b.db") == ("sqlite", "/a/b.db")
         assert parse_store_uri("/bare/path") == ("dir", "/bare/path")
         # a single-letter "scheme" is a Windows drive, not a scheme
         assert parse_store_uri("C:\\x\\y") == ("dir", "C:\\x\\y")
         with pytest.raises(ValueError):
             parse_store_uri("redis:whatever")
+        # the directory store is the only backend
+        with pytest.raises(ValueError, match="expected dir:PATH$"):
+            parse_store_uri("sqlite:/a/b.db")
 
     def test_open_store_dispatch(self, tmp_path):
         d = open_store(f"dir:{tmp_path / 'r'}")
         assert isinstance(d, DirectoryStore)
-        s = open_store(f"sqlite:{tmp_path / 'r.db'}")
-        assert isinstance(s, SQLiteStore)
-        assert open_store(s) is s  # instance passthrough
+        assert open_store(d) is d  # instance passthrough
         bare = open_store(tmp_path / "plain")
         assert isinstance(bare, DirectoryStore)
-        s.close()
+        with pytest.raises(ValueError, match="unknown result-store scheme"):
+            open_store(f"sqlite:{tmp_path / 'r.db'}")
 
     def test_repro_store_env_resolution(self, monkeypatch):
         monkeypatch.delenv(STORE_ENV, raising=False)
@@ -111,9 +104,7 @@ class TestUriResolution:
 
     def test_describe_is_canonical(self, tmp_path):
         assert DirectoryStore(tmp_path / "r").describe() == f"dir:{tmp_path / 'r'}"
-        s = SQLiteStore(tmp_path / "r.db")
-        assert s.describe() == f"sqlite:{tmp_path / 'r.db'}"
-        s.close()
+        assert open_store(tmp_path / "r").describe() == f"dir:{tmp_path / 'r'}"
 
 
 class TestEntryContract:
@@ -148,7 +139,7 @@ class TestEntryContract:
         assert stats["entries"] == 1
         assert stats["bytes"] > 0
         assert stats["corrupt"] == 0
-        assert stats["backend"] in ("dir", "sqlite")
+        assert stats["backend"] == "dir"
 
 
 class TestQuarantine:
@@ -166,26 +157,9 @@ class TestQuarantine:
         # a warm re-probe misses cleanly instead of re-parsing
         assert store.get("b" * 32) is None
 
-    def test_sqlite_corrupt_row_moved_and_counted(self, tmp_path):
-        store = SQLiteStore(tmp_path / "s.db")
-        store.put("a" * 32, {"makespan": 1})
-        with sqlite3.connect(tmp_path / "s.db") as conn:
-            conn.execute(
-                "INSERT INTO results (key, payload) VALUES (?, ?)",
-                ("b" * 32, "{truncated"),
-            )
-        assert store.get("b" * 32) is None
-        stats = store.stats()
-        assert stats["corrupt"] == 1
-        assert stats["entries"] == 1
-        assert store.get_many(["a" * 32, "b" * 32]) == {
-            "a" * 32: {"makespan": 1}
-        }
-        store.close()
-
 
 class TestLegacyCompat:
-    """The directory backend keeps the historical result-cache layout:
+    """The directory store keeps the historical result-cache layout:
     the same ``<key>.json`` files and content-addressed keys, so every
     cache written before the store abstraction existed stays warm."""
 
@@ -301,24 +275,6 @@ class TestLeases:
         )
         assert store.claim("camp", "a" * 32)
 
-    def test_sqlite_stale_lease_is_stolen(self, tmp_path):
-        store = SQLiteStore(tmp_path / "s.db")
-        assert store.claim("camp", "a" * 32)  # force schema creation
-        store.release("camp", "a" * 32)
-        with sqlite3.connect(tmp_path / "s.db") as conn:
-            conn.execute(
-                "INSERT INTO leases (campaign, key, owner, expires)"
-                " VALUES (?, ?, ?, ?)",
-                (
-                    "camp",
-                    "b" * 32,
-                    json.dumps({"host": "elsewhere", "pid": 1}),
-                    time.time() - 1,
-                ),
-            )
-        assert store.claim("camp", "b" * 32)
-        store.close()
-
     def test_lease_staleness_rules(self):
         assert lease_is_stale({})  # no expiry at all
         assert lease_is_stale({"expires": time.time() - 1})
@@ -352,40 +308,19 @@ class TestCampaignIds:
 
 
 class TestRunnerAgainstBackends:
-    def test_sqlite_store_runs_and_replays(self, tmp_path):
-        jobs = demo_jobs()
-        baseline = SweepRunner(
-            processes=1, cache_dir=tmp_path / "dircache"
-        ).run(jobs)
-        store = SQLiteStore(tmp_path / "store.db")
-        runner = SweepRunner(processes=1, store=store)
-        fresh = runner.run(jobs, label="sqlite-run")
-        assert runner.last_campaign.simulated == len(jobs)
-        assert runner.last_campaign.store == f"sqlite:{tmp_path / 'store.db'}"
-        assert runner.last_campaign.campaign_id
-        assert_same_metrics(fresh, baseline)
-        # warm replay off the database, bit-identical metrics
-        replayer = SweepRunner(processes=1, store=store)
-        warm = replayer.run(jobs, label="sqlite-run")
-        assert replayer.last_campaign.cache_hits == len(jobs)
-        assert replayer.last_campaign.resumed == 0  # complete => replay
-        assert_same_metrics(warm, baseline)
-        store.close()
-
     def test_store_uri_accepted_directly(self, tmp_path):
         jobs = demo_jobs()
-        runner = SweepRunner(processes=1, store=f"sqlite:{tmp_path / 'u.db'}")
+        runner = SweepRunner(processes=1, store=f"dir:{tmp_path / 'u'}")
         runner.run(jobs, label="via-uri")
-        reopened = SQLiteStore(tmp_path / "u.db")
+        reopened = DirectoryStore(tmp_path / "u")
         assert len(reopened) == len(jobs)
-        reopened.close()
 
     def test_two_shards_cover_the_campaign(self, tmp_path):
         jobs = demo_jobs()
         baseline = SweepRunner(
             processes=1, cache_dir=tmp_path / "dircache"
         ).run(jobs)
-        store_uri = f"sqlite:{tmp_path / 'shared.db'}"
+        store_uri = f"dir:{tmp_path / 'shared'}"
         merged = []
         for shard in ("0/2", "1/2"):
             runner = SweepRunner(processes=1, store=store_uri, shard=shard)
